@@ -80,19 +80,6 @@ std::uint64_t search_entry_bytes(const std::string& soname,
 
 }  // namespace
 
-ResolverCache::ResolverCache()
-    : search_bytes_gauge_(
-          obs::gauge("cache.bytes", {.cache = "resolver.search"})),
-      ldd_bytes_gauge_(obs::gauge("cache.bytes", {.cache = "resolver.ldd"})),
-      parse_bytes_gauge_(
-          obs::gauge("cache.bytes", {.cache = "resolver.parse"})) {}
-
-ResolverCache::~ResolverCache() {
-  search_bytes_gauge_.sub(search_footprint_.load(std::memory_order_relaxed));
-  ldd_bytes_gauge_.sub(ldd_footprint_.load(std::memory_order_relaxed));
-  parse_bytes_gauge_.sub(parse_footprint_.load(std::memory_order_relaxed));
-}
-
 std::optional<std::optional<std::string>> ResolverCache::search(
     const site::Site& host, std::string_view soname, int bits,
     const std::vector<std::string>& dirs) {
@@ -127,16 +114,11 @@ std::optional<std::optional<std::string>> ResolverCache::search(
       }
     }
     if (fresh) {
-      search_hits_.fetch_add(1, std::memory_order_relaxed);
-      search_hits_counter_.add();
-      entry->site_hits.add();
+      search_meter_.hit(entry->site_hits);
       return entry->result;
     }
   }
-  search_misses_.fetch_add(1, std::memory_order_relaxed);
-  search_misses_counter_.add();
-  obs::counter("cache.misses", {.site = host.name, .cache = "resolver.search"})
-      .add();
+  search_meter_.miss(host.name);
   return std::nullopt;
 }
 
@@ -145,10 +127,8 @@ void ResolverCache::store_search(const site::Site& host,
                                  const std::vector<std::string>& dirs,
                                  std::optional<std::string> result) {
   const std::uint64_t system_generation = host.vfs.system_generation();
-  SearchEntry entry(
-      host.lease_id(), bits, std::string(soname), dirs,
-      obs::SeriesHandle("cache.hits",
-                        {.site = host.name, .cache = "resolver.search"}));
+  SearchEntry entry(host.lease_id(), bits, std::string(soname), dirs,
+                    search_meter_.site_hits(host.name));
   entry.candidate_versions.reserve(dirs.size());
   for (const auto& dir : dirs) {
     const std::string candidate = site::Vfs::join(dir, soname);
@@ -166,8 +146,7 @@ void ResolverCache::store_search(const site::Site& host,
   // stays retained, so the footprint only grows (honest retained bytes).
   search_.insert(search_fingerprint(host, soname, bits, dirs),
                  std::move(entry));
-  search_footprint_.fetch_add(entry_bytes, std::memory_order_relaxed);
-  search_bytes_gauge_.add(entry_bytes);
+  search_meter_.retain(entry_bytes);
 }
 
 std::optional<support::Result<std::string>> ResolverCache::ldd_text(
@@ -184,17 +163,11 @@ std::optional<support::Result<std::string>> ResolverCache::ldd_text(
       (entry->strict
            ? entry->vfs_generation == host.vfs.generation()
            : entry->system_generation == host.vfs.system_generation())) {
-    ldd_hits_.fetch_add(1, std::memory_order_relaxed);
-    ldd_hits_counter_.add();
-    entry->site_hits.add();
-    ldd_bytes_saved_.add(entry->payload.size());
+    ldd_meter_.hit(entry->site_hits);
     if (entry->ok) return support::Result<std::string>(entry->payload);
     return support::Result<std::string>::failure(entry->payload);
   }
-  ldd_misses_.fetch_add(1, std::memory_order_relaxed);
-  ldd_misses_counter_.add();
-  obs::counter("cache.misses", {.site = host.name, .cache = "resolver.ldd"})
-      .add();
+  ldd_meter_.miss(host.name);
   return std::nullopt;
 }
 
@@ -212,14 +185,12 @@ void ResolverCache::store_ldd(const site::Site& host, std::string_view path,
       ld_library_path_touches_scratch(host),
       text.ok(),
       text.ok() ? text.value() : text.error(),
-      obs::SeriesHandle("cache.hits",
-                        {.site = host.name, .cache = "resolver.ldd"})};
+      ldd_meter_.site_hits(host.name)};
   const std::uint64_t entry_bytes =
       sizeof(LddEntry) + entry.path.size() + entry.payload.size();
   ldd_.insert(ldd_fingerprint(host, path, verbose, entry.env_fingerprint),
               std::move(entry));
-  ldd_footprint_.fetch_add(entry_bytes, std::memory_order_relaxed);
-  ldd_bytes_gauge_.add(entry_bytes);
+  ldd_meter_.retain(entry_bytes);
 }
 
 const elf::ElfFile* ResolverCache::parsed_elf(const site::Site& host,
@@ -232,10 +203,7 @@ const elf::ElfFile* ResolverCache::parsed_elf(const site::Site& host,
     return e.lease_id == lease_id && e.version == version && e.path == path;
   };
   if (const ParseEntry* entry = parsed_.find_if(key, matches)) {
-    parse_hits_.fetch_add(1, std::memory_order_relaxed);
-    parse_hits_counter_.add();
-    entry->site_hits.add();
-    parse_bytes_saved_.add(data.size());
+    parse_meter_.hit(entry->site_hits);
     return entry->parsed ? &*entry->parsed : nullptr;
   }
   // Parse with no lock held; a racing miss parses twice and the loser's
@@ -250,23 +218,16 @@ const elf::ElfFile* ResolverCache::parsed_elf(const site::Site& host,
   } else {
     support::Bytes().swap(arena);  // failed parse retains no bytes
   }
-  parse_misses_.fetch_add(1, std::memory_order_relaxed);
-  parse_misses_counter_.add();
-  obs::counter("cache.misses", {.site = host.name, .cache = "resolver.parse"})
-      .add();
+  parse_meter_.miss(host.name);
   const auto [entry, inserted] = parsed_.get_or_insert_if(key, matches, [&] {
     return ParseEntry{
         lease_id, std::string(path), version, std::move(arena),
-        std::move(value),
-        obs::SeriesHandle("cache.hits",
-                          {.site = host.name, .cache = "resolver.parse"})};
+        std::move(value), parse_meter_.site_hits(host.name)};
   });
   if (inserted) {
-    const std::uint64_t entry_bytes =
-        sizeof(ParseEntry) + entry->path.size() + entry->arena.capacity() +
-        (entry->parsed ? elf_bytes(*entry->parsed) : 0);
-    parse_footprint_.fetch_add(entry_bytes, std::memory_order_relaxed);
-    parse_bytes_gauge_.add(entry_bytes);
+    parse_meter_.retain(sizeof(ParseEntry) + entry->path.size() +
+                        entry->arena.capacity() +
+                        (entry->parsed ? elf_bytes(*entry->parsed) : 0));
   }
   return entry->parsed ? &*entry->parsed : nullptr;
 }

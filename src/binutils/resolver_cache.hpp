@@ -59,11 +59,6 @@ namespace feam::binutils {
 
 class ResolverCache {
  public:
-  ResolverCache();
-  // Releases this instance's share of the cache.bytes{cache=resolver.*}
-  // footprint gauges (entries are never evicted while the cache lives).
-  ~ResolverCache();
-
   // Memoized search_library result, or nullopt when absent/stale.
   // `dirs` must be the fully assembled search order (extra + rpath +
   // LD_LIBRARY_PATH + defaults) — it is part of the key.
@@ -100,24 +95,12 @@ class ResolverCache {
   // parsed-ELF memo hit very differently (a cold parse costs ~1000x a
   // cold search), so folding them into one number hides exactly the
   // attribution a hit-rate investigation needs.
-  std::uint64_t search_hits() const {
-    return search_hits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t search_misses() const {
-    return search_misses_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t ldd_hits() const {
-    return ldd_hits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t ldd_misses() const {
-    return ldd_misses_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t parse_hits() const {
-    return parse_hits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t parse_misses() const {
-    return parse_misses_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t search_hits() const { return search_meter_.hits(); }
+  std::uint64_t search_misses() const { return search_meter_.misses(); }
+  std::uint64_t ldd_hits() const { return ldd_meter_.hits(); }
+  std::uint64_t ldd_misses() const { return ldd_meter_.misses(); }
+  std::uint64_t parse_hits() const { return parse_meter_.hits(); }
+  std::uint64_t parse_misses() const { return parse_meter_.misses(); }
 
  private:
   struct SearchEntry {
@@ -196,34 +179,13 @@ class ResolverCache {
   support::StripedMap<std::uint64_t, SearchEntry> search_;
   support::StripedMap<std::uint64_t, LddEntry> ldd_;
   support::StripedMap<std::uint64_t, ParseEntry> parsed_;
-  std::atomic<std::uint64_t> search_hits_{0};
-  std::atomic<std::uint64_t> search_misses_{0};
-  std::atomic<std::uint64_t> ldd_hits_{0};
-  std::atomic<std::uint64_t> ldd_misses_{0};
-  std::atomic<std::uint64_t> parse_hits_{0};
-  std::atomic<std::uint64_t> parse_misses_{0};
-  // Pre-resolved metric series: these paths hit hundreds of thousands of
-  // times per matrix run, so the per-hit cost must stay one relaxed
-  // atomic (site-labeled hit series are pre-resolved per entry; the rare
-  // miss paths take the registry lookup).
-  obs::SeriesHandle search_hits_counter_{"resolver.search_hits", {}};
-  obs::SeriesHandle search_misses_counter_{"resolver.search_misses", {}};
-  obs::SeriesHandle ldd_hits_counter_{"resolver.ldd_hits", {}};
-  obs::SeriesHandle ldd_misses_counter_{"resolver.ldd_misses", {}};
-  obs::SeriesHandle ldd_bytes_saved_{"resolver.ldd_bytes_saved", {}};
-  obs::SeriesHandle parse_hits_counter_{"resolver.parse_hits", {}};
-  obs::SeriesHandle parse_misses_counter_{"resolver.parse_misses", {}};
-  obs::SeriesHandle parse_bytes_saved_{"resolver.parse_bytes_saved", {}};
-  // Estimated retained bytes per memo, mirrored into the process-wide
-  // cache.bytes{cache=resolver.search|resolver.ldd|resolver.parse}
-  // gauges. Shadowed (stale) entries stay retained, so footprints only
+  // These paths hit hundreds of thousands of times per matrix run; entries
+  // carry their pre-resolved site hit series, so a hit stays two relaxed
+  // atomics. Shadowed (stale) entries stay retained, so footprints only
   // grow while the cache lives.
-  obs::Gauge& search_bytes_gauge_;
-  obs::Gauge& ldd_bytes_gauge_;
-  obs::Gauge& parse_bytes_gauge_;
-  std::atomic<std::uint64_t> search_footprint_{0};
-  std::atomic<std::uint64_t> ldd_footprint_{0};
-  std::atomic<std::uint64_t> parse_footprint_{0};
+  obs::CacheMeter search_meter_{"resolver.search"};
+  obs::CacheMeter ldd_meter_{"resolver.ldd"};
+  obs::CacheMeter parse_meter_{"resolver.parse"};
 };
 
 }  // namespace feam::binutils

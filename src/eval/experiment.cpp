@@ -89,10 +89,7 @@ Experiment::Experiment(ExperimentOptions options)
   }
 }
 
-Experiment::~Experiment() {
-  obs::gauge("cache.bytes", {.cache = "source"})
-      .sub(source_footprint_.load(std::memory_order_relaxed));
-}
+Experiment::~Experiment() = default;
 
 Site& Experiment::site(std::string_view name) {
   const auto it = site_index_.find(name);
@@ -186,10 +183,7 @@ const support::Result<feam::SourcePhaseOutput>& Experiment::source_phase_for(
   // lease (those are unique to their job), so no cycle.
   std::lock_guard<std::mutex> lock(entry->mutex);
   if (entry->value) {
-    source_hits_.fetch_add(1, std::memory_order_relaxed);
-    obs::counter("source_phase.memo_hits").add();
-    obs::counter("cache.hits", {.site = binary.home_site, .cache = "source"})
-        .add();
+    source_meter_.hit(binary.home_site);
     return *entry->value;
   }
   const auto* injector = home.vfs.fault_injector();
@@ -203,17 +197,13 @@ const support::Result<feam::SourcePhaseOutput>& Experiment::source_phase_for(
     local.emplace(std::move(fresh));
     return *local;
   }
-  source_misses_.fetch_add(1, std::memory_order_relaxed);
-  obs::counter("source_phase.memo_misses").add();
-  obs::counter("cache.misses", {.site = binary.home_site, .cache = "source"})
-      .add();
+  source_meter_.miss(binary.home_site);
   entry->value.emplace(std::move(fresh));
   std::uint64_t entry_bytes = sizeof(SourceMemoEntry);
   if (entry->value->ok()) {
     entry_bytes += source_output_bytes(entry->value->value());
   }
-  source_footprint_.fetch_add(entry_bytes, std::memory_order_relaxed);
-  obs::gauge("cache.bytes", {.cache = "source"}).add(entry_bytes);
+  source_meter_.retain(entry_bytes);
   return *entry->value;
 }
 

@@ -23,6 +23,7 @@
 
 #include "feam/caches.hpp"
 #include "feam/phases.hpp"
+#include "obs/metrics.hpp"
 #include "site/site.hpp"
 #include "toolchain/launcher.hpp"
 #include "workloads/benchmarks.hpp"
@@ -136,8 +137,8 @@ class Experiment {
   // Memoization stats for the benches; caches() is null when
   // options.use_caches is false.
   const feam::MigrationCaches* caches() const { return caches_.get(); }
-  std::uint64_t source_phase_hits() const { return source_hits_; }
-  std::uint64_t source_phase_misses() const { return source_misses_; }
+  std::uint64_t source_phase_hits() const { return source_meter_.hits(); }
+  std::uint64_t source_phase_misses() const { return source_meter_.misses(); }
 
   // (binary, site) pairs skipped because the site lacks the matching MPI
   // implementation. At those sites FEAM trivially (and correctly) predicts
@@ -176,12 +177,7 @@ class Experiment {
   std::vector<std::shared_ptr<site::FaultInjector>> injectors_;
   std::mutex source_memo_mutex_;
   std::map<std::string, std::unique_ptr<SourceMemoEntry>> source_memo_;
-  std::atomic<std::uint64_t> source_hits_{0};
-  std::atomic<std::uint64_t> source_misses_{0};
-  // Estimated bytes retained by the source-phase memo, mirrored into the
-  // process-wide cache.bytes{cache=source} gauge and released on
-  // destruction (the memo dies with the Experiment).
-  std::atomic<std::uint64_t> source_footprint_{0};
+  obs::CacheMeter source_meter_{"source"};
 };
 
 }  // namespace feam::eval

@@ -94,26 +94,9 @@ std::uint64_t content_hash(const support::Bytes& bytes) {
   return h;
 }
 
-BdcCache::BdcCache()
-    : hash_(content_hash),
-      footprint_gauge_(obs::gauge("cache.bytes", {.cache = "bdc"})) {}
+BdcCache::BdcCache() : hash_(content_hash) {}
 
-BdcCache::BdcCache(HashFn hash)
-    : hash_(std::move(hash)),
-      footprint_gauge_(obs::gauge("cache.bytes", {.cache = "bdc"})) {}
-
-BdcCache::~BdcCache() {
-  footprint_gauge_.sub(footprint_.load(std::memory_order_relaxed));
-}
-
-void BdcCache::count_hit(const site::Site&,
-                         const obs::SeriesHandle& site_hits,
-                         std::uint64_t bytes_size) {
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  legacy_hits_.add();
-  site_hits.add();
-  bytes_saved_.add(bytes_size);
-}
+BdcCache::BdcCache(HashFn hash) : hash_(std::move(hash)) {}
 
 support::Result<BinaryDescription> BdcCache::describe(const site::Site& s,
                                                       std::string_view path) {
@@ -143,7 +126,7 @@ support::Result<BinaryDescription> BdcCache::describe(const site::Site& s,
             return e.lease_id == lease_id && e.version == version &&
                    e.path == path;
           })) {
-    count_hit(s, stamped->site_hits, bytes->size());
+    meter_.hit(stamped->site_hits);
     if (obs::provenance_active()) {
       obs::record_evidence(
           description_evidence(s.name, path, stamped->description));
@@ -153,10 +136,7 @@ support::Result<BinaryDescription> BdcCache::describe(const site::Site& s,
   const std::uint64_t key = hash_(*bytes);
   if (const ContentEntry* entry = entries_.find_if(
           key, [&](const ContentEntry& e) { return e.bytes == *bytes; })) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    legacy_hits_.add();
-    obs::counter("cache.hits", {.site = s.name, .cache = "bdc"}).add();
-    bytes_saved_.add(bytes->size());
+    meter_.hit(s.name);
     BinaryDescription d = entry->description;
     d.path = std::string(path);
     if (obs::provenance_active()) {
@@ -174,18 +154,14 @@ support::Result<BinaryDescription> BdcCache::describe(const site::Site& s,
   if (injector != nullptr && injector->fault_count() != faults_before) {
     return described;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  legacy_misses_.add();
-  obs::counter("cache.misses", {.site = s.name, .cache = "bdc"}).add();
+  meter_.miss(s.name);
   if (described.ok()) {
     const auto [entry, inserted] = entries_.get_or_insert_if(
         key, [&](const ContentEntry& e) { return e.bytes == *bytes; },
         [&] { return ContentEntry{*bytes, described.value()}; });
     if (inserted) {
-      const std::uint64_t added = sizeof(ContentEntry) + bytes->size() +
-                                  description_bytes(described.value());
-      footprint_.fetch_add(added, std::memory_order_relaxed);
-      footprint_gauge_.add(added);
+      meter_.retain(sizeof(ContentEntry) + bytes->size() +
+                    description_bytes(described.value()));
     }
     store_stamp(s, path, version, described.value());
   }
@@ -200,21 +176,9 @@ void BdcCache::store_stamp(const site::Site& s, std::string_view path,
   // insert() shadows any stale stamp for this (site, path); the shadowed
   // node stays allocated (readers may hold pointers into it), so the
   // footprint only ever grows — it reports retained bytes, honestly.
-  by_file_.insert(
-      key, StampEntry{lease_id, std::string(path), version, d,
-                      obs::SeriesHandle("cache.hits",
-                                        {.site = s.name, .cache = "bdc"})});
-  const std::uint64_t added =
-      sizeof(StampEntry) + path.size() + description_bytes(d);
-  footprint_.fetch_add(added, std::memory_order_relaxed);
-  footprint_gauge_.add(added);
-}
-
-EdcMemo::EdcMemo()
-    : footprint_gauge_(obs::gauge("cache.bytes", {.cache = "edc"})) {}
-
-EdcMemo::~EdcMemo() {
-  footprint_gauge_.sub(footprint_.load(std::memory_order_relaxed));
+  by_file_.insert(key, StampEntry{lease_id, std::string(path), version, d,
+                                  meter_.site_hits(s.name)});
+  meter_.retain(sizeof(StampEntry) + path.size() + description_bytes(d));
 }
 
 EnvironmentDescription EdcMemo::discover(const site::Site& s) {
@@ -226,9 +190,7 @@ EnvironmentDescription EdcMemo::discover(const site::Site& s) {
     return e.lease_id == lease_id && e.fingerprint == fingerprint;
   };
   if (const Entry* entry = entries_.find_if(key, matches)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    legacy_hits_.add();
-    entry->site_hits.add();
+    meter_.hit(entry->site_hits);
     obs::replay_evidence(entry->evidence);
     return entry->description;
   }
@@ -248,20 +210,14 @@ EnvironmentDescription EdcMemo::discover(const site::Site& s) {
   if (injector != nullptr && injector->fault_count() != faults_before) {
     return description;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  legacy_misses_.add();
-  obs::counter("cache.misses", {.site = s.name, .cache = "edc"}).add();
+  meter_.miss(s.name);
   const auto [entry, inserted] = entries_.get_or_insert_if(key, matches, [&] {
     return Entry{lease_id, fingerprint, description, std::move(evidence),
-                 obs::SeriesHandle("cache.hits",
-                                   {.site = s.name, .cache = "edc"})};
+                 meter_.site_hits(s.name)};
   });
   if (inserted) {
-    const std::uint64_t added = sizeof(Entry) +
-                                environment_bytes(entry->description) +
-                                obs::evidence_bytes(entry->evidence);
-    footprint_.fetch_add(added, std::memory_order_relaxed);
-    footprint_gauge_.add(added);
+    meter_.retain(sizeof(Entry) + environment_bytes(entry->description) +
+                  obs::evidence_bytes(entry->evidence));
   }
   return description;
 }

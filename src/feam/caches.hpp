@@ -33,7 +33,6 @@
 // gate pins its exact counter values).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -61,9 +60,6 @@ class BdcCache {
   BdcCache();
   // Injectable hash, for exercising the collision path with crafted inputs.
   explicit BdcCache(HashFn hash);
-  // Releases this cache's share of the cache.bytes{cache=bdc} footprint
-  // gauge (caches are per-Experiment; the gauge is process-wide).
-  ~BdcCache();
 
   // Describe the binary at `path` on `s`, memoized on its content hash.
   // On a hit the cached description is returned with `path` rewritten to
@@ -79,10 +75,8 @@ class BdcCache {
   support::Result<BinaryDescription> describe(const site::Site& s,
                                               std::string_view path);
 
-  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t hits() const { return meter_.hits(); }
+  std::uint64_t misses() const { return meter_.misses(); }
 
  private:
   struct ContentEntry {
@@ -98,8 +92,6 @@ class BdcCache {
     obs::SeriesHandle site_hits;  // cache.hits{cache=bdc,site=...}
   };
 
-  void count_hit(const site::Site& s, const obs::SeriesHandle& site_hits,
-                 std::uint64_t bytes_size);
   void store_stamp(const site::Site& s, std::string_view path,
                    std::uint64_t version, const BinaryDescription& d);
 
@@ -110,15 +102,7 @@ class BdcCache {
   // Fast path: fingerprint of (lease_id, path) -> newest write stamp +
   // description. A rewritten file shadows its old stamp.
   support::StripedMap<std::uint64_t, StampEntry> by_file_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  // Pre-resolved metric series (one atomic per hit on the fast path) and
-  // this instance's share of the process-wide footprint gauge.
-  obs::SeriesHandle legacy_hits_{"bdc.cache_hits", {}};
-  obs::SeriesHandle legacy_misses_{"bdc.cache_misses", {}};
-  obs::SeriesHandle bytes_saved_{"bdc.cache_bytes_saved", {}};
-  obs::Gauge& footprint_gauge_;
-  std::atomic<std::uint64_t> footprint_{0};
+  obs::CacheMeter meter_{"bdc"};
 };
 
 class EdcMemo {
@@ -131,13 +115,9 @@ class EdcMemo {
   // between two shell states (e.g. module loaded / unloaded) hits in
   // both.
   EnvironmentDescription discover(const site::Site& s);
-  EdcMemo();
-  ~EdcMemo();
 
-  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t hits() const { return meter_.hits(); }
+  std::uint64_t misses() const { return meter_.misses(); }
 
  private:
   struct Entry {
@@ -154,12 +134,7 @@ class EdcMemo {
 
   // key: fingerprint of (Site::lease_id(), Site::discovery_fingerprint())
   support::StripedMap<std::uint64_t, Entry> entries_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  obs::SeriesHandle legacy_hits_{"edc.memo_hits", {}};
-  obs::SeriesHandle legacy_misses_{"edc.memo_misses", {}};
-  obs::Gauge& footprint_gauge_;
-  std::atomic<std::uint64_t> footprint_{0};
+  obs::CacheMeter meter_{"edc"};
 };
 
 // The bundle a parallel run threads through phases/TEC. Passing nullptr

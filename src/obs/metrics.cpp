@@ -435,15 +435,31 @@ Gauge& gauge(std::string_view name, const Labels& labels) {
 SeriesHandle::SeriesHandle(std::string_view name, const Labels& labels)
     : counter_(&metrics().counter(name, labels)) {}
 
-SeriesHandle& SiteSeriesCache::at(std::string_view site) {
-  auto it = handles_.find(site);
-  if (it == handles_.end()) {
-    it = handles_
-             .emplace(std::string(site),
-                      SeriesHandle(name_, {.site = site, .cache = cache_label_}))
-             .first;
-  }
-  return it->second;
+CacheMeter::CacheMeter(std::string family)
+    : family_(std::move(family)),
+      bytes_gauge_(gauge("cache.bytes", {.cache = family_})) {}
+
+CacheMeter::~CacheMeter() {
+  bytes_gauge_.sub(bytes_.load(std::memory_order_relaxed));
+}
+
+SeriesHandle CacheMeter::site_hits(std::string_view site) const {
+  return SeriesHandle("cache.hits", {.site = site, .cache = family_});
+}
+
+void CacheMeter::hit(std::string_view site) {
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  counter("cache.hits", {.site = site, .cache = family_}).add();
+}
+
+void CacheMeter::miss(std::string_view site) {
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  counter("cache.misses", {.site = site, .cache = family_}).add();
+}
+
+void CacheMeter::retain(std::uint64_t bytes) {
+  bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  bytes_gauge_.add(bytes);
 }
 
 std::function<void(std::uint64_t, std::uint64_t)> pool_task_recorder() {

@@ -2,9 +2,9 @@
 //
 // Counters and histograms are lock-free (relaxed atomics) so they can sit
 // on hot paths — ELF parsing, library resolution — without perturbing the
-// numbers they measure. The registry itself takes a mutex only on
-// first-lookup of a name; hot code should hold the returned reference
-// (references are stable for the life of the registry).
+// numbers they measure. Every name lookup (`counter(name, ...)`) takes
+// the registry mutex; hot code should hold the returned reference or a
+// SeriesHandle (references are stable for the life of the registry).
 //
 // Histograms use power-of-two buckets: record() costs three atomic adds,
 // memory is fixed (64 buckets), and percentiles interpolate linearly
@@ -51,11 +51,13 @@ class Counter {
 // cheaply. There is deliberately no free-form key/value API: unbounded
 // labels would turn the registry into a leak.
 //
-// A labeled metric is a *separate series* from the unlabeled one: callers
-// that re-key a hot counter per site keep recording the unlabeled total as
-// well, so legacy consumers (gate baselines, run records) see unchanged
-// numbers and `sum over labels == unlabeled total` becomes a checkable
-// invariant of the stream.
+// A labeled metric is a *separate series* from the unlabeled one, and a
+// labeled family is recorded without a flat twin unless some reader needs
+// the flat total: `lease.wait_ns` and `mem.alloc_{bytes,count}` (read live
+// by the benchmark driver) and `tec.determinant_checks` (pinned by the
+// report baseline) keep both, and for those `sum over labels == unlabeled
+// total` is a checkable invariant of the stream. Everything else, the
+// cache families included, is summed over labels by its readers.
 struct Labels {
   std::string_view site{};
   std::string_view cache{};
@@ -261,21 +263,47 @@ class SeriesHandle {
   Counter* counter_;
 };
 
-// SeriesHandles for one `name{cache=...,site=<varies>}` family, cached per
-// site so hot memo paths that label by site pay the key encoding once per
-// distinct site and one relaxed atomic per hit afterwards. NOT internally
-// synchronized — embed it under the owning cache's existing mutex.
-class SiteSeriesCache {
+// The whole accounting policy of one memo instance of family F (`bdc`,
+// `edc`, `resolver.search|ldd|parse`, `source`): the instance's hit and
+// miss totals, the process-wide `cache.hits{cache=F,site=S}` /
+// `cache.misses{cache=F,site=S}` series, and the instance's share of the
+// `cache.bytes{cache=F}` footprint gauge, given back on destruction (the
+// gauge outlives every memo; memos die with their run). Thread-safe.
+//
+// Hot hits go through a SeriesHandle the memo entry resolved at fill time
+// (site_hits()), so a hit costs two relaxed atomics and no registry
+// lookup; the site-name overloads look the series up under the registry
+// mutex and suit the cold paths.
+class CacheMeter {
  public:
-  SiteSeriesCache(std::string name, std::string cache_label)
-      : name_(std::move(name)), cache_label_(std::move(cache_label)) {}
+  explicit CacheMeter(std::string family);
+  ~CacheMeter();
+  CacheMeter(const CacheMeter&) = delete;
+  CacheMeter& operator=(const CacheMeter&) = delete;
 
-  SeriesHandle& at(std::string_view site);
+  // The `cache.hits{cache=F,site=site}` series, for an entry to hold.
+  SeriesHandle site_hits(std::string_view site) const;
+
+  void hit(const SeriesHandle& site_hits) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    site_hits.add();
+  }
+  void hit(std::string_view site);
+  void miss(std::string_view site);
+  // Adds `bytes` to the instance's retained footprint.
+  void retain(std::uint64_t bytes);
+
+  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  std::uint64_t misses() const {
+    return misses_.load(std::memory_order_relaxed);
+  }
 
  private:
-  std::string name_;
-  std::string cache_label_;
-  std::map<std::string, SeriesHandle, std::less<>> handles_;
+  std::string family_;
+  Gauge& bytes_gauge_;
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> bytes_{0};
 };
 
 // Ready-made support::ThreadPool::TaskObserver: records each task's

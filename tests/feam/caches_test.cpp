@@ -1,16 +1,21 @@
 // The migration-engine memoization layer: content-addressed BDC cache
 // (including the injected-hash collision path and the write-stamp fast
 // path), the fingerprint-keyed EDC memo, and the resolver cache's exact
-// invalidation on site mutation.
+// invalidation on site mutation — and, after a pooled evaluation run, the
+// agreement of every memo's getters with its labeled metric series.
 #include "feam/caches.hpp"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "binutils/ldd.hpp"
 #include "binutils/resolver.hpp"
 #include "binutils/resolver_cache.hpp"
 #include "feam/bdc.hpp"
 #include "feam/edc.hpp"
+#include "eval/experiment.hpp"
+#include "obs/metrics.hpp"
 #include "toolchain/linker.hpp"
 #include "toolchain/testbed.hpp"
 
@@ -322,6 +327,82 @@ TEST(ResolverCache, CachedResolutionMatchesUncached) {
     EXPECT_EQ(uncached.libs[i].path, cached_warm.libs[i].path);
   }
   EXPECT_EQ(uncached.version_errors.size(), cached_warm.version_errors.size());
+}
+
+// ------------------------------------------------------- CacheMeter
+
+// Per-family sums of the labeled `<name>{cache=F,site=*}` counters.
+std::map<std::string, std::uint64_t> sum_over_sites(std::string_view name) {
+  std::map<std::string, std::uint64_t> sums;
+  for (const auto& [series, value] : obs::metrics().counter_values()) {
+    const obs::SeriesKey key = obs::parse_series(series);
+    if (key.name == name && !key.cache.empty()) sums[key.cache] += value;
+  }
+  return sums;
+}
+
+std::uint64_t at_or_zero(const std::map<std::string, std::uint64_t>& values,
+                         const std::string& key) {
+  const auto it = values.find(key);
+  return it == values.end() ? 0 : it->second;
+}
+
+std::map<std::string, std::uint64_t> cache_bytes() {
+  std::map<std::string, std::uint64_t> values;
+  for (const auto& [series, gauge] : obs::metrics().gauge_values()) {
+    const obs::SeriesKey key = obs::parse_series(series);
+    if (key.name == "cache.bytes") values[key.cache] = gauge.value;
+  }
+  return values;
+}
+
+TEST(CacheMeterIntegration, LabeledSeriesMatchGettersAfterPooledRun) {
+  const auto hits_before = sum_over_sites("cache.hits");
+  const auto misses_before = sum_over_sites("cache.misses");
+  const auto bytes_before = cache_bytes();
+  {
+    eval::ExperimentOptions options;
+    options.jobs = 4;
+    options.only_benchmarks = {"is.B", "104.milc"};
+    eval::Experiment experiment(options);
+    experiment.build_test_set();
+    experiment.run();
+    ASSERT_FALSE(experiment.results().empty());
+
+    const MigrationCaches& caches = *experiment.caches();
+    const std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
+        getters = {
+            {"bdc", {caches.bdc.hits(), caches.bdc.misses()}},
+            {"edc", {caches.edc.hits(), caches.edc.misses()}},
+            {"resolver.search",
+             {caches.resolver.search_hits(), caches.resolver.search_misses()}},
+            {"resolver.ldd",
+             {caches.resolver.ldd_hits(), caches.resolver.ldd_misses()}},
+            {"resolver.parse",
+             {caches.resolver.parse_hits(), caches.resolver.parse_misses()}},
+            {"source",
+             {experiment.source_phase_hits(),
+              experiment.source_phase_misses()}},
+        };
+    const auto hits_after = sum_over_sites("cache.hits");
+    const auto misses_after = sum_over_sites("cache.misses");
+    for (const auto& [family, counts] : getters) {
+      EXPECT_GT(counts.first, 0u) << family;
+      EXPECT_GT(counts.second, 0u) << family;
+      EXPECT_EQ(at_or_zero(hits_after, family) -
+                    at_or_zero(hits_before, family),
+                counts.first)
+          << family;
+      EXPECT_EQ(at_or_zero(misses_after, family) -
+                    at_or_zero(misses_before, family),
+                counts.second)
+          << family;
+    }
+  }
+  // Every meter gave its footprint back with the run's caches.
+  for (const auto& [family, value] : cache_bytes()) {
+    EXPECT_EQ(value, at_or_zero(bytes_before, family)) << family;
+  }
 }
 
 }  // namespace

@@ -116,19 +116,55 @@ TEST(SeriesHandleTest, AddsToTheResolvedSeries) {
             before + 5);
 }
 
-TEST(SiteSeriesCacheTest, OneHandlePerSite) {
-  SiteSeriesCache cache("memtest.lookups", "resolver.search");
-  SeriesHandle& india = cache.at("india");
-  SeriesHandle& fir = cache.at("fir");
-  india.add(2);
-  fir.add(3);
-  // Same site resolves to the same handle (and so the same counter).
-  EXPECT_EQ(&cache.at("india"), &india);
-  const auto counters = metrics().counter_values();
-  EXPECT_GE(counters.at("memtest.lookups{cache=resolver.search,site=india}"),
-            2u);
-  EXPECT_GE(counters.at("memtest.lookups{cache=resolver.search,site=fir}"),
-            3u);
+std::uint64_t counter_now(const std::string& series) {
+  const auto values = metrics().counter_values();
+  const auto it = values.find(series);
+  return it == values.end() ? 0 : it->second;
+}
+
+std::uint64_t gauge_now(const std::string& series) {
+  const auto values = metrics().gauge_values();
+  const auto it = values.find(series);
+  return it == values.end() ? 0 : it->second.value;
+}
+
+TEST(CacheMeter, HitsAndMissesLandInTheTotalAndTheLabeledSeries) {
+  const std::string hits = "cache.hits{cache=metertest.a,site=india}";
+  const std::string misses = "cache.misses{cache=metertest.a,site=india}";
+  const std::uint64_t hits_before = counter_now(hits);
+  const std::uint64_t misses_before = counter_now(misses);
+
+  CacheMeter meter("metertest.a");
+  const SeriesHandle india = meter.site_hits("india");
+  meter.hit(india);
+  meter.hit("india");
+  meter.miss("india");
+  meter.hit("fir");
+
+  EXPECT_EQ(meter.hits(), 3u);
+  EXPECT_EQ(meter.misses(), 1u);
+  EXPECT_EQ(counter_now(hits), hits_before + 2);
+  EXPECT_EQ(counter_now(misses), misses_before + 1);
+  EXPECT_GE(counter_now("cache.hits{cache=metertest.a,site=fir}"), 1u);
+  // No flat twin: the family is recorded only under its labels.
+  EXPECT_EQ(metrics().counter_values().count("cache.hits"), 0u);
+}
+
+TEST(CacheMeter, LiveMetersOfOneFamilySumAndDestructionReleases) {
+  const std::string bytes = "cache.bytes{cache=metertest.b}";
+  const std::uint64_t before = gauge_now(bytes);
+  {
+    CacheMeter first("metertest.b");
+    first.retain(100);
+    {
+      CacheMeter second("metertest.b");
+      second.retain(40);
+      second.retain(2);
+      EXPECT_EQ(gauge_now(bytes), before + 142);
+    }
+    EXPECT_EQ(gauge_now(bytes), before + 100);
+  }
+  EXPECT_EQ(gauge_now(bytes), before);
 }
 
 TEST_F(TrackingTest, ScopeCountsRequestedBytes) {

@@ -30,6 +30,11 @@ struct SiteExpectation {
   std::size_t stack_count;
 };
 
+// gtest's default printer dumps the struct's raw bytes, string pointers
+// included, so the registered test names would change with every load
+// address. Print the site name instead to keep them stable.
+void PrintTo(const SiteExpectation& e, std::ostream* os) { *os << e.name; }
+
 class TestbedTableTest : public ::testing::TestWithParam<SiteExpectation> {};
 
 TEST_P(TestbedTableTest, MatchesTableTwo) {
