@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <set>
+#include <utility>
 
 #include "binutils/resolver_cache.hpp"
 #include "obs/provenance.hpp"
@@ -109,43 +110,25 @@ Resolution resolve_libraries(const site::Site& host, std::string_view binary_pat
                              const std::vector<std::string>& extra_search_dirs,
                              ResolverCache* cache) {
   Resolution out;
-  // Reads report whether fault injection touched them; faulted bytes carry
-  // an unchanged write stamp, so they must never reach the stamp-keyed
-  // parse memo.
-  const auto* injector = host.vfs.fault_injector();
-  const auto fault_count = [&]() -> std::uint64_t {
-    return injector != nullptr ? injector->fault_count() : 0;
-  };
-  bool read_faulted = false;
-  const auto read_tracked = [&](std::string_view path) -> const support::Bytes* {
-    const std::uint64_t before = fault_count();
-    const support::Bytes* data = host.vfs.read(path);
-    read_faulted = fault_count() != before;
-    return data;
-  };
-
-  const support::Bytes* root_data = read_tracked(binary_path);
-  if (root_data == nullptr) {
+  const auto root_data = host.vfs.read_blob(binary_path);
+  if (!root_data) {
     out.root_error = "no such file: " + std::string(binary_path);
     return out;
   }
-  // Parses `data` (the VFS content of `path`), through the cache's
-  // write-stamp memo when one is supplied. `local` keeps uncached parses
-  // alive for the duration of this resolution.
-  std::deque<elf::ElfFile> local;
-  const auto parse_object = [&](std::string_view path,
-                                const support::Bytes& data,
-                                bool faulted) -> const elf::ElfFile* {
-    if (cache != nullptr && !faulted) return cache->parsed_elf(host, path, data);
-    auto parsed = elf::ElfFile::parse(data);
+  // Parses `data` through the cache's content memo when one is supplied;
+  // `local` keeps uncached parses alive, each beside the Blob it borrows.
+  std::deque<std::pair<support::Blob, elf::ElfFile>> local;
+  const auto parse_object =
+      [&](const support::Blob& data) -> const elf::ElfFile* {
+    if (cache != nullptr) return cache->parsed_elf(data);
+    auto parsed = elf::ElfFile::parse(data.bytes());
     if (!parsed.ok()) return nullptr;
-    local.push_back(std::move(parsed).take());
-    return &local.back();
+    return &local.emplace_back(data, std::move(parsed).take()).second;
   };
 
-  const elf::ElfFile* root = parse_object(binary_path, *root_data, read_faulted);
+  const elf::ElfFile* root = parse_object(*root_data);
   if (root == nullptr) {
-    out.root_error = elf::ElfFile::parse(*root_data).error();
+    out.root_error = elf::ElfFile::parse(root_data->bytes()).error();
     return out;
   }
   out.root_parsed = true;
@@ -216,10 +199,8 @@ Resolution resolve_libraries(const site::Site& host, std::string_view binary_pat
                               cache);
     if (lib.path) {
       provider_paths.emplace(item.name, *lib.path);
-      const support::Bytes* data = read_tracked(*lib.path);
-      if (data != nullptr) {
-        if (const elf::ElfFile* parsed =
-                parse_object(*lib.path, *data, read_faulted)) {
+      if (const auto data = host.vfs.read_blob(*lib.path)) {
+        if (const elf::ElfFile* parsed = parse_object(*data)) {
           for (const auto& n : parsed->needed()) {
             std::string name(n);
             if (!enqueued.insert(name).second) {
@@ -252,10 +233,9 @@ Resolution resolve_libraries(const site::Site& host, std::string_view binary_pat
     for (const auto& need : object->version_references()) {
       const auto provider_it = provider_paths.find(need.file);
       if (provider_it == provider_paths.end()) continue;  // missing lib: reported above
-      const support::Bytes* provider_data = read_tracked(provider_it->second);
-      if (provider_data == nullptr) continue;
-      const elf::ElfFile* provider =
-          parse_object(provider_it->second, *provider_data, read_faulted);
+      const auto provider_data = host.vfs.read_blob(provider_it->second);
+      if (!provider_data) continue;
+      const elf::ElfFile* provider = parse_object(*provider_data);
       if (provider == nullptr) continue;
       const auto& defs = provider->version_definitions();
       for (const auto& version : need.versions) {

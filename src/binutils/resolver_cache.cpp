@@ -10,12 +10,10 @@ namespace feam::binutils {
 
 namespace {
 
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
-
 std::uint64_t search_fingerprint(const site::Site& host,
                                  std::string_view soname, int bits,
                                  const std::vector<std::string>& dirs) {
-  std::uint64_t h = support::fnv1a_mix(kFnvBasis, host.lease_id());
+  std::uint64_t h = support::fnv1a_mix(support::kFnvBasis, host.lease_id());
   h = support::fnv1a_mix(h, static_cast<std::uint64_t>(bits));
   h = support::fnv1a_mix(h, soname);
   for (const auto& dir : dirs) {
@@ -27,17 +25,10 @@ std::uint64_t search_fingerprint(const site::Site& host,
 
 std::uint64_t ldd_fingerprint(const site::Site& host, std::string_view path,
                               bool verbose, std::uint64_t env_fingerprint) {
-  std::uint64_t h = support::fnv1a_mix(kFnvBasis, host.lease_id());
+  std::uint64_t h = support::fnv1a_mix(support::kFnvBasis, host.lease_id());
   h = support::fnv1a_mix(h, verbose ? 'v' : '-');
   h = support::fnv1a_mix(h, path);
   return support::fnv1a_mix(h, env_fingerprint);
-}
-
-std::uint64_t parse_fingerprint(const site::Site& host, std::string_view path,
-                                std::uint64_t version) {
-  std::uint64_t h = support::fnv1a_mix(kFnvBasis, host.lease_id());
-  h = support::fnv1a_mix(h, path);
-  return support::fnv1a_mix(h, version);
 }
 
 // Whether the shell's library path reaches into scratch directories —
@@ -54,8 +45,9 @@ bool ld_library_path_touches_scratch(const site::Site& host) {
 // fixed structs); allocator-exact sizes are not the point — trend and
 // ceiling gates need a stable, monotone measure of what the memo holds.
 std::uint64_t elf_bytes(const elf::ElfFile& file) {
-  // A parsed file is views-into-arena, so the string *content* is counted
-  // once via the arena's size by the caller; here only the view tables.
+  // A parsed file is views into its entry's Blob, so the string *content*
+  // is counted once via the Blob's size by the caller; here only the view
+  // tables.
   std::uint64_t total = sizeof(elf::ElfFile);
   total += (file.needed().size() + file.rpath().size() +
             file.version_definitions().size() + file.comments().size()) *
@@ -193,43 +185,38 @@ void ResolverCache::store_ldd(const site::Site& host, std::string_view path,
   ldd_meter_.retain(entry_bytes);
 }
 
-const elf::ElfFile* ResolverCache::parsed_elf(const site::Site& host,
-                                              std::string_view path,
-                                              const support::Bytes& data) {
-  const std::uint64_t version = host.vfs.file_version(path).value_or(0);
-  const std::uint64_t key = parse_fingerprint(host, path, version);
-  const std::uint64_t lease_id = host.lease_id();
-  const auto matches = [&](const ParseEntry& e) {
-    return e.lease_id == lease_id && e.version == version && e.path == path;
+const elf::ElfFile* ResolverCache::parsed_elf(const support::Blob& data) {
+  const std::uint64_t key = data.hash();
+  const auto view = [](const ParseEntry& e) -> const elf::ElfFile* {
+    return e.parsed ? &*e.parsed : nullptr;
   };
-  if (const ParseEntry* entry = parsed_.find_if(key, matches)) {
-    parse_meter_.hit(entry->site_hits);
-    return entry->parsed ? &*entry->parsed : nullptr;
+  const auto same_content = [&](const ParseEntry& e) { return e.blob == data; };
+  if (const ParseEntry* entry = parsed_.find_if(key, same_content)) {
+    parse_meter_.hit(parse_hits_);
+    return view(*entry);
   }
   // Parse with no lock held; a racing miss parses twice and the loser's
-  // insert is dropped in favour of the winner's entry. The parse runs
-  // against the entry's own arena copy — never against `data`, whose
-  // buffer dies with the VFS node on the next rewrite of this path.
-  support::Bytes arena = data;
-  auto parsed = elf::ElfFile::parse(arena);
+  // insert is dropped in favour of the winner's entry. The views borrow
+  // the shared buffer, which the entry keeps alive.
+  auto parsed = elf::ElfFile::parse(data.bytes());
   std::optional<elf::ElfFile> value;
-  if (parsed.ok()) {
-    value = std::move(parsed).take();
-  } else {
-    support::Bytes().swap(arena);  // failed parse retains no bytes
-  }
-  parse_meter_.miss(host.name);
-  const auto [entry, inserted] = parsed_.get_or_insert_if(key, matches, [&] {
-    return ParseEntry{
-        lease_id, std::string(path), version, std::move(arena),
-        std::move(value), parse_meter_.site_hits(host.name)};
-  });
+  if (parsed.ok()) value = std::move(parsed).take();
+  parse_meter_.miss({});
+  const auto [entry, inserted] = parsed_.get_or_insert_if(
+      key, same_content, [&] { return ParseEntry{data, std::move(value)}; });
   if (inserted) {
-    parse_meter_.retain(sizeof(ParseEntry) + entry->path.size() +
-                        entry->arena.capacity() +
+    parse_meter_.retain(sizeof(ParseEntry) + data.size() +
                         (entry->parsed ? elf_bytes(*entry->parsed) : 0));
   }
-  return entry->parsed ? &*entry->parsed : nullptr;
+  return view(*entry);
+}
+
+const elf::ElfFile* parse_elf(const support::Blob& data, ResolverCache* cache,
+                              std::optional<elf::ElfFile>& local) {
+  if (cache != nullptr) return cache->parsed_elf(data);
+  auto parsed = elf::ElfFile::parse(data.bytes());
+  if (!parsed.ok()) return nullptr;
+  return &local.emplace(std::move(parsed).take());
 }
 
 std::uint64_t ResolverCache::hits() const {

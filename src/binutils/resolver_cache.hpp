@@ -23,11 +23,12 @@
 //     shell's LD_LIBRARY_PATH reached into scratch directories at record
 //     time, validation falls back to the whole-VFS generation (exact,
 //     strictly conservative).
-//   * parse memo — keyed (site, path, Vfs::file_version): the parsed ELF
-//     view of an unchanged file. The loader re-parses the same root
-//     binary, resolved libraries, and version providers on every
-//     execution attempt; the write stamp uniquely identifies content, so
-//     the parse is a pure function of the key.
+//   * parse memo — keyed on content: the parsed ELF view of a byte
+//     content, shared by every path and site that holds those bytes. The
+//     parse is a pure function of the bytes, so equal bytes at a hundred
+//     sites parse once. Lookups go by Blob::hash and confirm with
+//     Blob::operator== (the same buffer, or else a byte compare), so a
+//     hash collision is a miss, never a wrong answer.
 //
 // All three memos sit on support::StripedMap: hits are lock-free (a
 // chain walk plus relaxed counter bumps), writers stripe across shards,
@@ -52,6 +53,7 @@
 #include "elf/file.hpp"
 #include "obs/metrics.hpp"
 #include "site/site.hpp"
+#include "support/blob.hpp"
 #include "support/result.hpp"
 #include "support/striped_map.hpp"
 
@@ -76,16 +78,13 @@ class ResolverCache {
   void store_ldd(const site::Site& host, std::string_view path, bool verbose,
                  const support::Result<std::string>& text);
 
-  // Parsed view of the ELF image at `path` whose bytes are `data` (as
-  // read from `host`'s VFS), memoized on the file's write stamp. Returns
-  // nullptr when the image is not valid ELF. The pointer stays valid for
-  // the cache's lifetime: entries are never evicted — a rewritten file
-  // gets a distinct entry under its new write stamp. The returned
-  // ElfFile's string views do NOT borrow `data`: the entry owns an arena
-  // copy of the bytes and the cached parse borrows that arena, so the
-  // view survives the VFS node being rewritten or removed.
-  const elf::ElfFile* parsed_elf(const site::Site& host, std::string_view path,
-                                 const support::Bytes& data);
+  // Parsed view of the ELF image `data`, memoized on its content. Returns
+  // nullptr when the bytes are not valid ELF. The pointer stays valid for
+  // the cache's lifetime: entries are never evicted. The ElfFile's views
+  // borrow the Blob its entry holds (a shared buffer, not a copy), so the
+  // view survives the VFS node being rewritten or removed. Faulted reads
+  // need no special care: a short read is a different, shorter content.
+  const elf::ElfFile* parsed_elf(const support::Blob& data);
 
   // Combined totals across the three memos (legacy view).
   std::uint64_t hits() const;
@@ -163,29 +162,30 @@ class ResolverCache {
   };
 
   struct ParseEntry {
-    std::uint64_t lease_id = 0;
-    std::string path;
-    std::uint64_t version = 0;  // Vfs::file_version — uniquely keys content
-    // `parsed` is zero-copy: its string views borrow `arena`, the entry's
-    // own copy of the file bytes (never the transient VFS buffer the
-    // caller handed in). Moving the entry moves the vector — the heap
-    // buffer, and therefore every view into it, stays put. Empty when
-    // the parse failed (nothing borrows, no reason to retain bytes).
-    support::Bytes arena;
+    // The content this entry answers for; `parsed` borrows its buffer.
+    support::Blob blob;
     std::optional<elf::ElfFile> parsed;  // nullopt caches a parse failure
-    obs::SeriesHandle site_hits;  // cache.hits{cache=resolver.parse,...}
   };
 
   support::StripedMap<std::uint64_t, SearchEntry> search_;
   support::StripedMap<std::uint64_t, LddEntry> ldd_;
-  support::StripedMap<std::uint64_t, ParseEntry> parsed_;
-  // These paths hit hundreds of thousands of times per matrix run; entries
-  // carry their pre-resolved site hit series, so a hit stays two relaxed
-  // atomics. Shadowed (stale) entries stay retained, so footprints only
-  // grow while the cache lives.
+  support::StripedMap<std::uint64_t, ParseEntry> parsed_;  // by Blob::hash
+  // These paths hit hundreds of thousands of times per matrix run; search
+  // and ldd entries carry their pre-resolved site hit series, so a hit
+  // stays two relaxed atomics. Content has no home site: the parse memo
+  // counts into `cache.hits|misses{cache=resolver.parse}` through
+  // `parse_hits_`, resolved once. Shadowed (stale) entries stay retained,
+  // so footprints only grow while the cache lives.
   obs::CacheMeter search_meter_{"resolver.search"};
   obs::CacheMeter ldd_meter_{"resolver.ldd"};
   obs::CacheMeter parse_meter_{"resolver.parse"};
+  obs::SeriesHandle parse_hits_ = parse_meter_.site_hits({});
 };
+
+// Parsed view of `data`: through `cache`'s content memo when one is
+// given, else parsed into `local`, which (like `data`) must outlive the
+// view. nullptr when the bytes are not valid ELF.
+const elf::ElfFile* parse_elf(const support::Blob& data, ResolverCache* cache,
+                              std::optional<elf::ElfFile>& local);
 
 }  // namespace feam::binutils

@@ -21,12 +21,6 @@ namespace {
 
 using site::Site;
 
-// The module name provisioning registers for a stack.
-std::string module_name_of(const site::MpiStackInstall& stack) {
-  return std::string(site::mpi_impl_slug(stack.impl)) + "/" +
-         stack.version.str() + "-" + site::compiler_slug(stack.compiler);
-}
-
 // The naive "matching MPI implementation" stack choice a scientist makes
 // before FEAM is involved: same implementation, preferring the compiler
 // the binary was built with. Returns the chosen module name.
@@ -36,10 +30,10 @@ std::optional<std::string> choose_matching_module(
   const site::MpiStackInstall* fallback = nullptr;
   for (const auto& stack : target.stacks) {
     if (stack.impl != impl || !stack.advertised) continue;
-    if (stack.compiler == preferred_compiler) return module_name_of(stack);
+    if (stack.compiler == preferred_compiler) return site::module_name(stack);
     if (fallback == nullptr) fallback = &stack;
   }
-  if (fallback != nullptr) return module_name_of(*fallback);
+  if (fallback != nullptr) return site::module_name(*fallback);
   return std::nullopt;
 }
 
@@ -126,7 +120,7 @@ void Experiment::build_test_set() {
         // Paper VI.A: binaries that would not run at the site where they
         // were compiled are excluded too.
         s->unload_all_modules();
-        s->load_module(module_name_of(stack));
+        s->load_module(site::module_name(stack));
         const auto home_run = toolchain::mpiexec_with_retries(
             *s, path, options_.ranks, {}, options_.retry_attempts);
         s->unload_all_modules();
@@ -162,7 +156,7 @@ const support::Result<feam::SourcePhaseOutput>& Experiment::source_phase_for(
     site::SubtreeLeases lease({{&home, binary.path}});
     site::ShellSession shell(home);
     home.unload_all_modules();
-    home.load_module(module_name_of(binary.stack));
+    home.load_module(site::module_name(binary.stack));
     return feam::run_source_phase(home, binary.path, config, caches_.get());
   };
   if (caches_ == nullptr) {
@@ -258,8 +252,8 @@ std::optional<MigrationResult> Experiment::migrate_one(
   // The home-side read needs no lease: test-set binaries are immutable
   // while the matrix runs.
   {
-    const support::Bytes* content = home.vfs.read(binary.path);
-    if (content == nullptr) {
+    const auto content = home.vfs.read_blob(binary.path);
+    if (!content) {
       // A test-set binary is always present, so this read can only fail
       // under injection; the pair is recorded, not dropped.
       result.failure_attribution = "io";

@@ -15,11 +15,6 @@ namespace feam::eval {
 
 namespace {
 
-std::string module_name_of(const site::MpiStackInstall& stack) {
-  return std::string(site::mpi_impl_slug(stack.impl)) + "/" +
-         stack.version.str() + "-" + site::compiler_slug(stack.compiler);
-}
-
 report::RunRecord pair_record(const std::string& source_site,
                               const std::string& binary,
                               const std::string& target_site) {
@@ -105,14 +100,13 @@ FleetRunResult run_fleet(fleet::Fleet& fleet, const FleetRunOptions& options) {
     {
       site::ShellSession shell(anchor);
       anchor.unload_all_modules();
-      anchor.load_module(module_name_of(stack));
+      anchor.load_module(site::module_name(stack));
       auto phase = run_source_phase(anchor, path, config, cache_ptr);
       if (phase.ok()) source.emplace(std::move(phase).take());
     }
 
-    const support::Bytes* data = anchor.vfs.read(path);
-    const support::Bytes binary_bytes =
-        data != nullptr ? *data : support::Bytes{};
+    const support::Blob binary_bytes =
+        anchor.vfs.read_blob(path).value_or(support::Blob());
     SurveyOptions survey_options;
     survey_options.jobs = options.jobs;
     survey_options.caches = cache_ptr;

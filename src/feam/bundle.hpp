@@ -13,7 +13,7 @@
 
 #include "feam/description.hpp"
 #include "feam/edc.hpp"
-#include "support/byte_io.hpp"
+#include "support/blob.hpp"
 #include "support/json.hpp"
 #include "toolchain/compiler.hpp"
 
@@ -22,14 +22,14 @@ namespace feam {
 struct LibraryCopy {
   std::string name;         // NEEDED name / soname ("libmpi.so.0")
   std::string origin_path;  // where it lived in the guaranteed environment
-  support::Bytes content;
+  support::Blob content;    // shares the guaranteed environment's buffer
   BinaryDescription description;
 };
 
 struct HelloWorldCopy {
   toolchain::Language language = toolchain::Language::kC;
   std::string name;  // "hello_mpi_c"
-  support::Bytes content;
+  support::Blob content;
 };
 
 class Bundle {

@@ -1,7 +1,5 @@
 #include "feam/caches.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "feam/bdc.hpp"
@@ -12,25 +10,6 @@
 namespace feam {
 
 namespace {
-
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
-
-// FNV-1a folding 64-bit words, then the tail byte-wise.
-std::uint64_t fnv_region(std::uint64_t h, const std::uint8_t* p,
-                         std::size_t n) {
-  while (n >= 8) {
-    std::uint64_t word;
-    std::memcpy(&word, p, 8);
-    h = (h ^ word) * kFnvPrime;
-    p += 8;
-    n -= 8;
-  }
-  while (n-- > 0) {
-    h = (h ^ *p++) * kFnvPrime;
-  }
-  return h;
-}
 
 // Footprint estimates for the cache.bytes{cache=...} gauges: the payload
 // bytes an entry retains (string/vector contents plus the fixed struct),
@@ -67,34 +46,7 @@ std::uint64_t environment_bytes(const EnvironmentDescription& e) {
 
 }  // namespace
 
-std::uint64_t content_hash(const support::Bytes& bytes) {
-  // Constant-work sampled hash: the size plus the head, tail, and a few
-  // evenly spaced interior windows. Multi-megabyte binaries hash in a
-  // bounded ~10 KiB of reads, so a cache lookup costs the same for a
-  // 100 KiB tool and a 50 MiB bundle library. The cache always verifies
-  // candidate hits with a full byte compare, so the hash only has to
-  // distribute well — sampling cannot cause a wrong answer, only a
-  // (vanishingly rare) extra compare.
-  constexpr std::size_t kWindow = 512;
-  constexpr std::size_t kInteriorWindows = 14;
-  constexpr std::size_t kSmall = 8 * 1024;
-
-  std::uint64_t h = (kFnvBasis ^ bytes.size()) * kFnvPrime;
-  const std::uint8_t* data = bytes.data();
-  if (bytes.size() <= kSmall) {
-    return fnv_region(h, data, bytes.size());
-  }
-  h = fnv_region(h, data, 2 * kWindow);                       // head
-  h = fnv_region(h, data + bytes.size() - 2 * kWindow, 2 * kWindow);  // tail
-  const std::size_t span = bytes.size() - kWindow;
-  for (std::size_t i = 0; i < kInteriorWindows; ++i) {
-    const std::size_t offset = (span * (i + 1)) / (kInteriorWindows + 1);
-    h = fnv_region(h, data + offset, kWindow);
-  }
-  return h;
-}
-
-BdcCache::BdcCache() : hash_(content_hash) {}
+BdcCache::BdcCache() = default;
 
 BdcCache::BdcCache(HashFn hash) : hash_(std::move(hash)) {}
 
@@ -103,89 +55,53 @@ support::Result<BinaryDescription> BdcCache::describe(const site::Site& s,
   const auto* injector = s.vfs.fault_injector();
   const std::uint64_t faults_before =
       injector != nullptr ? injector->fault_count() : 0;
-  const support::Bytes* bytes = s.vfs.read(path);
-  if (injector != nullptr && injector->fault_count() != faults_before) {
-    // The read was touched by fault injection: the bytes (or their
-    // absence) don't match the file's write stamp, so neither the fast
-    // path nor the content-addressed store may see them. Fall through to
-    // the uncached component, whose result the caller attributes.
+  const auto faulted = [&] {
+    return injector != nullptr && injector->fault_count() != faults_before;
+  };
+  const auto blob = s.vfs.read_blob(path);
+  if (!blob || faulted()) {
+    // The component gives its usual diagnostic for a missing file. After a
+    // faulted read its own reads roll fresh faults, so its answer need not
+    // match `blob`: it runs uncached, and the caller attributes the result.
     return Bdc::describe(s, path);
   }
-  if (bytes == nullptr) {
-    // Let the component produce its usual diagnostic for a missing file.
-    return Bdc::describe(s, path);
-  }
-  const std::uint64_t version = s.vfs.file_version(path).value_or(0);
-  const std::uint64_t lease_id = s.lease_id();
-  const std::uint64_t stamp_key =
-      support::fnv1a_mix(support::fnv1a(path), lease_id);
-  // Fast path, lock-free: the file has not been rewritten since we last
-  // described it at this location — no hashing, no byte compare.
-  if (const StampEntry* stamped = by_file_.find_if(
-          stamp_key, [&](const StampEntry& e) {
-            return e.lease_id == lease_id && e.version == version &&
-                   e.path == path;
-          })) {
-    meter_.hit(stamped->site_hits);
-    if (obs::provenance_active()) {
-      obs::record_evidence(
-          description_evidence(s.name, path, stamped->description));
-    }
-    return stamped->description;
-  }
-  const std::uint64_t key = hash_(*bytes);
-  if (const ContentEntry* entry = entries_.find_if(
-          key, [&](const ContentEntry& e) { return e.bytes == *bytes; })) {
-    meter_.hit(s.name);
+  const std::uint64_t key = hash_ ? hash_(blob->bytes()) : blob->hash();
+  const auto same_content = [&](const ContentEntry& e) { return e.blob == *blob; };
+  if (const ContentEntry* entry = entries_.find_if(key, same_content)) {
+    meter_.hit(hits_);
     BinaryDescription d = entry->description;
     d.path = std::string(path);
     if (obs::provenance_active()) {
       obs::record_evidence(description_evidence(s.name, path, d));
     }
-    store_stamp(s, path, version, d);
     return d;
   }
   // Miss (or collision): parse with no lock held — the caller holds the
   // site lease, so the bytes cannot change underneath us.
   support::Result<BinaryDescription> described = Bdc::describe(s, path);
   // The component re-reads the file itself; if any of those reads were
-  // faulted, the description doesn't correspond to `*bytes` and must not
-  // be memoized under its hash.
-  if (injector != nullptr && injector->fault_count() != faults_before) {
-    return described;
-  }
-  meter_.miss(s.name);
+  // faulted, the description doesn't correspond to `*blob` and must not
+  // be memoized under its content.
+  if (faulted()) return described;
+  meter_.miss({});
   if (described.ok()) {
     const auto [entry, inserted] = entries_.get_or_insert_if(
-        key, [&](const ContentEntry& e) { return e.bytes == *bytes; },
-        [&] { return ContentEntry{*bytes, described.value()}; });
+        key, same_content,
+        [&] { return ContentEntry{*blob, described.value()}; });
     if (inserted) {
-      meter_.retain(sizeof(ContentEntry) + bytes->size() +
+      meter_.retain(sizeof(ContentEntry) + blob->size() +
                     description_bytes(described.value()));
     }
-    store_stamp(s, path, version, described.value());
   }
   return described;
-}
-
-void BdcCache::store_stamp(const site::Site& s, std::string_view path,
-                           std::uint64_t version, const BinaryDescription& d) {
-  const std::uint64_t lease_id = s.lease_id();
-  const std::uint64_t key =
-      support::fnv1a_mix(support::fnv1a(path), lease_id);
-  // insert() shadows any stale stamp for this (site, path); the shadowed
-  // node stays allocated (readers may hold pointers into it), so the
-  // footprint only ever grows — it reports retained bytes, honestly.
-  by_file_.insert(key, StampEntry{lease_id, std::string(path), version, d,
-                                  meter_.site_hits(s.name)});
-  meter_.retain(sizeof(StampEntry) + path.size() + description_bytes(d));
 }
 
 EnvironmentDescription EdcMemo::discover(const site::Site& s) {
   const std::uint64_t lease_id = s.lease_id();
   const std::uint64_t fingerprint = s.discovery_fingerprint();
   const std::uint64_t key =
-      support::fnv1a_mix(support::fnv1a_mix(kFnvBasis, lease_id), fingerprint);
+      support::fnv1a_mix(support::fnv1a_mix(support::kFnvBasis, lease_id),
+                         fingerprint);
   const auto matches = [&](const Entry& e) {
     return e.lease_id == lease_id && e.fingerprint == fingerprint;
   };

@@ -4,11 +4,12 @@
 // unchanged site environments on every one of its ~70 migrations. Both
 // operations are pure functions of observable state, so they memoize:
 //
-//   * BdcCache — content-addressed: hash of the binary's bytes ->
+//   * BdcCache — content-addressed: Blob::hash of the binary's bytes ->
 //     BinaryDescription. A binary migrated to N targets is parsed once.
-//     Entries store the full bytes and are compared on lookup, so a hash
-//     collision degrades to a cache miss, never a wrong description. The
-//     hash function is injectable for exactly that test.
+//     Entries hold the content's Blob (shared with the Vfs, not a copy)
+//     and compare it on lookup, so a hash collision degrades to a cache
+//     miss, never a wrong description. The hash function is injectable
+//     for exactly that test.
 //   * EdcMemo — per-site, keyed by Site::discovery_fingerprint(): the
 //     system half of the VFS plus the *content* of the environment and
 //     loaded-module list — exactly what the scan reads. Scratch writes
@@ -20,7 +21,7 @@
 // chain walk plus relaxed counter bumps — no mutex, so eight workers
 // hitting the same cache never serialize. Writers stripe across shards.
 // Every 64-bit map key is a fingerprint, and every lookup re-verifies
-// the entry's stored identity (full bytes, path, sub-generation values),
+// the entry's stored identity (the content, or the site and fingerprint),
 // so a fingerprint collision degrades to a miss, never a wrong answer.
 //
 // Callers must still hold the site's lease while describing/discovering
@@ -44,14 +45,12 @@
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 #include "site/site.hpp"
+#include "support/blob.hpp"
 #include "support/byte_io.hpp"
 #include "support/result.hpp"
 #include "support/striped_map.hpp"
 
 namespace feam {
-
-// FNV-1a (64-bit) over the byte content — the default content address.
-std::uint64_t content_hash(const support::Bytes& bytes);
 
 class BdcCache {
  public:
@@ -61,17 +60,12 @@ class BdcCache {
   // Injectable hash, for exercising the collision path with crafted inputs.
   explicit BdcCache(HashFn hash);
 
-  // Describe the binary at `path` on `s`, memoized on its content hash.
-  // On a hit the cached description is returned with `path` rewritten to
-  // the requested location (the only path-dependent field). Failures are
-  // not cached. Unreadable paths fall through to Bdc::describe for its
-  // error message.
-  //
-  // Repeat lookups of an unchanged file short-circuit on the VFS write
-  // stamp — (site, path, Vfs::file_version) uniquely identifies content,
-  // so the fast path answers lock-free without touching the bytes at
-  // all. Only a stamp miss (new site, new path, rewritten file) pays the
-  // sampled hash + byte-verify of the content-addressed lookup.
+  // Describe the binary at `path` on `s`, memoized on its content. On a
+  // hit the cached description is returned with `path` rewritten to the
+  // requested location (the only path-dependent field). Failures are not
+  // cached. Unreadable paths fall through to Bdc::describe for its error
+  // message. A hit costs one Blob::hash (cached in the buffer after the
+  // first) and, for a buffer other than the entry's own, a byte compare.
   support::Result<BinaryDescription> describe(const site::Site& s,
                                               std::string_view path);
 
@@ -80,29 +74,17 @@ class BdcCache {
 
  private:
   struct ContentEntry {
-    support::Bytes bytes;  // kept for collision verification
+    support::Blob blob;  // the content; compared on lookup
     BinaryDescription description;
   };
 
-  struct StampEntry {
-    std::uint64_t lease_id = 0;  // identity re-verified on lookup
-    std::string path;
-    std::uint64_t version = 0;  // Vfs::file_version at memoization time
-    BinaryDescription description;
-    obs::SeriesHandle site_hits;  // cache.hits{cache=bdc,site=...}
-  };
-
-  void store_stamp(const site::Site& s, std::string_view path,
-                   std::uint64_t version, const BinaryDescription& d);
-
-  HashFn hash_;
-  // Content-addressed store, keyed by hash_(bytes); colliding contents
-  // coexist as chain links, disambiguated by full byte compare.
+  HashFn hash_;  // empty: Blob::hash
+  // Content-addressed store, keyed by the content hash; colliding
+  // contents coexist as chain links, disambiguated by a byte compare.
   support::StripedMap<std::uint64_t, ContentEntry> entries_;
-  // Fast path: fingerprint of (lease_id, path) -> newest write stamp +
-  // description. A rewritten file shadows its old stamp.
-  support::StripedMap<std::uint64_t, StampEntry> by_file_;
   obs::CacheMeter meter_{"bdc"};
+  // Content has no home site: `cache.hits{cache=bdc}`, resolved once.
+  obs::SeriesHandle hits_ = meter_.site_hits({});
 };
 
 class EdcMemo {

@@ -122,8 +122,8 @@ support::Result<SourcePhaseOutput> run_source_phase(
              {{"language", std::string(toolchain::language_name(lang))}});
         continue;
       }
-      if (const auto* bytes = guaranteed.vfs.read(path)) {
-        out.bundle.hello_worlds.push_back({lang, program.name, *bytes});
+      if (const auto content = guaranteed.vfs.read_blob(path)) {
+        out.bundle.hello_worlds.push_back({lang, program.name, *content});
       }
       if (hello_world_path.empty()) hello_world_path = path;
     }
@@ -153,8 +153,8 @@ support::Result<SourcePhaseOutput> run_source_phase(
         continue;
       }
       const std::string& lib_path = *located.front().second;
-      const support::Bytes* content = guaranteed.vfs.read(lib_path);
-      if (content == nullptr) {
+      const auto content = guaranteed.vfs.read_blob(lib_path);
+      if (!content) {
         note(out, obs::Level::kWarn, "source.gather",
              "could not read " + lib_path, {{"path", lib_path}});
         continue;

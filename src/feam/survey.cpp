@@ -44,7 +44,7 @@ namespace {
 // when the phase errored after partial resolution), loaded modules
 // reinstated.
 SurveyEntry assess_site(site::Site& s, const std::string& path,
-                        const support::Bytes& binary_bytes,
+                        const support::Blob& binary_bytes,
                         const SourcePhaseOutput* source,
                         const FeamConfig& config,
                         MigrationCaches* caches) {
@@ -106,6 +106,16 @@ SurveyEntry assess_site(site::Site& s, const std::string& path,
 SurveyReport survey_sites(std::span<site::Site* const> sites,
                           std::string_view binary_name,
                           const support::Bytes& binary_bytes,
+                          const SourcePhaseOutput* source,
+                          const FeamConfig& config,
+                          const SurveyOptions& options) {
+  return survey_sites(sites, binary_name, support::Blob(binary_bytes), source,
+                      config, options);
+}
+
+SurveyReport survey_sites(std::span<site::Site* const> sites,
+                          std::string_view binary_name,
+                          const support::Blob& binary_bytes,
                           const SourcePhaseOutput* source,
                           const FeamConfig& config,
                           const SurveyOptions& options) {

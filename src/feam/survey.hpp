@@ -20,6 +20,7 @@
 
 #include "feam/phases.hpp"
 #include "site/site.hpp"
+#include "support/blob.hpp"
 #include "support/byte_io.hpp"
 
 namespace feam {
@@ -47,10 +48,18 @@ struct SurveyOptions {
 };
 
 // Surveys `sites` for the binary `binary_bytes` (written to each site as
-// /home/user/<binary_name>). `source` enables the extended prediction and
-// resolution. Sites are evaluated independently; each is restored exactly
-// as found — migrated binary removed, resolution directories removed, and
-// the module load state reinstated — even when the target phase errors.
+// /home/user/<binary_name>; every site shares the one buffer). `source`
+// enables the extended prediction and resolution. Sites are evaluated
+// independently; each is restored exactly as found — migrated binary
+// removed, resolution directories removed, and the module load state
+// reinstated — even when the target phase errors.
+SurveyReport survey_sites(std::span<site::Site* const> sites,
+                          std::string_view binary_name,
+                          const support::Blob& binary_bytes,
+                          const SourcePhaseOutput* source = nullptr,
+                          const FeamConfig& config = {},
+                          const SurveyOptions& options = {});
+// The same, wrapping `binary_bytes` in one Blob for the whole survey.
 SurveyReport survey_sites(std::span<site::Site* const> sites,
                           std::string_view binary_name,
                           const support::Bytes& binary_bytes,

@@ -270,10 +270,13 @@ class SeriesHandle {
 // `cache.bytes{cache=F}` footprint gauge, given back on destruction (the
 // gauge outlives every memo; memos die with their run). Thread-safe.
 //
-// Hot hits go through a SeriesHandle the memo entry resolved at fill time
-// (site_hits()), so a hit costs two relaxed atomics and no registry
-// lookup; the site-name overloads look the series up under the registry
-// mutex and suit the cold paths.
+// Hot hits go through a SeriesHandle resolved ahead of time (site_hits(),
+// by the memo entry at fill time), so a hit costs two relaxed atomics and
+// no registry lookup; the site-name overloads look the series up under
+// the registry mutex and suit the cold paths. An empty site names the
+// family's site-less `cache.hits|misses{cache=F}` series, which the
+// content-keyed memos (`bdc`, `resolver.parse`) use: content has no home
+// site.
 class CacheMeter {
  public:
   explicit CacheMeter(std::string family);

@@ -91,6 +91,11 @@ std::string MpiStackInstall::slug() const {
          compiler_slug(compiler);
 }
 
+std::string module_name(const MpiStackInstall& stack) {
+  return std::string(mpi_impl_slug(stack.impl)) + "/" + stack.version.str() +
+         "-" + compiler_slug(stack.compiler);
+}
+
 std::string MpiStackInstall::display() const {
   return std::string(mpi_impl_name(impl)) + " v" + version.str() + " (" +
          compiler_letter(compiler) + ")";

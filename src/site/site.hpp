@@ -62,6 +62,9 @@ struct MpiStackInstall {
   std::string display() const;
 };
 
+// The module that selects `stack` at its site: "openmpi/1.4.3-intel".
+std::string module_name(const MpiStackInstall& stack);
+
 // A module file (or SoftEnv key): a name plus environment prepends.
 struct ModuleFile {
   std::string name;  // "openmpi/1.4.3-intel"

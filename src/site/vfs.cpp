@@ -210,7 +210,7 @@ bool Vfs::mkdirs(std::string_view path) {
   return true;
 }
 
-bool Vfs::write_file(std::string_view path, support::Bytes content) {
+bool Vfs::write_file(std::string_view path, support::Blob content) {
   std::unique_lock<std::shared_mutex> lock(*tree_mutex_);
   // A read-only layer rejects before the media can fault.
   if (seal_blocks(path)) return false;
@@ -232,8 +232,9 @@ bool Vfs::write_file(std::string_view path, support::Bytes content) {
         auto torn = std::make_unique<Node>();
         torn->kind = Node::Kind::kFile;
         const std::size_t keep = fault_->short_read_length(content.size());
-        torn->content.assign(content.begin(),
-                             content.begin() + static_cast<std::ptrdiff_t>(keep));
+        const auto begin = content.bytes().begin();
+        torn->content = support::Blob(
+            support::Bytes(begin, begin + static_cast<std::ptrdiff_t>(keep)));
         slot = std::move(torn);
         if (previous != nullptr) {
           slot = std::move(previous);  // restore-on-error
@@ -254,6 +255,10 @@ bool Vfs::write_file(std::string_view path, support::Bytes content) {
   child->content = std::move(content);
   child->version = bump_generations(path);
   return true;
+}
+
+bool Vfs::write_file(std::string_view path, support::Bytes content) {
+  return write_file(path, support::Blob(std::move(content)));
 }
 
 bool Vfs::write_file(std::string_view path, std::string_view text) {
@@ -306,30 +311,43 @@ bool Vfs::is_symlink(std::string_view path) const {
   return n != nullptr && n->kind == Node::Kind::kSymlink;
 }
 
+std::optional<support::Blob> Vfs::faulted_read(
+    std::string_view path, const support::Blob& content) const {
+  if (fault_ == nullptr || !fault_->enabled()) return content;
+  switch (fault_->decide_read(path)) {
+    case FaultKind::kEnoent:
+    case FaultKind::kEio:
+      return std::nullopt;
+    case FaultKind::kShortRead: {
+      const std::size_t keep = fault_->short_read_length(content.size());
+      const auto begin = content.bytes().begin();
+      return support::Blob(
+          support::Bytes(begin, begin + static_cast<std::ptrdiff_t>(keep)));
+    }
+    default:
+      return content;
+  }
+}
+
 const support::Bytes* Vfs::read(std::string_view path) const {
   std::shared_lock<std::shared_mutex> lock(*tree_mutex_);
   const Node* n = walk(path, true);
   if (n == nullptr || n->kind != Node::Kind::kFile) return nullptr;
-  if (fault_ != nullptr && fault_->enabled()) {
-    switch (fault_->decide_read(path)) {
-      case FaultKind::kEnoent:
-      case FaultKind::kEio:
-        return nullptr;
-      case FaultKind::kShortRead: {
-        const std::size_t keep = fault_->short_read_length(n->content.size());
-        // Several readers may fault concurrently under the shared tree
-        // lock; the scratch deque gets its own guard.
-        std::lock_guard<std::mutex> scratch_lock(*scratch_mutex_);
-        short_read_scratch_.emplace_back(
-            n->content.begin(),
-            n->content.begin() + static_cast<std::ptrdiff_t>(keep));
-        return &short_read_scratch_.back();
-      }
-      default:
-        break;
-    }
-  }
-  return &n->content;
+  if (fault_ == nullptr || !fault_->enabled()) return &n->content.bytes();
+  const auto seen = faulted_read(path, n->content);
+  if (!seen) return nullptr;
+  if (seen->same(n->content)) return &n->content.bytes();
+  // Several readers may fault concurrently under the shared tree lock;
+  // the scratch deque gets its own guard.
+  std::lock_guard<std::mutex> scratch_lock(*scratch_mutex_);
+  return &short_read_scratch_.emplace_back(*seen).bytes();
+}
+
+std::optional<support::Blob> Vfs::read_blob(std::string_view path) const {
+  std::shared_lock<std::shared_mutex> lock(*tree_mutex_);
+  const Node* n = walk(path, true);
+  if (n == nullptr || n->kind != Node::Kind::kFile) return std::nullopt;
+  return faulted_read(path, n->content);
 }
 
 std::optional<std::uint64_t> Vfs::file_version(std::string_view path) const {

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "site/fault.hpp"
+#include "support/blob.hpp"
 #include "support/byte_io.hpp"
 
 namespace feam::site {
@@ -38,7 +39,9 @@ class Vfs {
   // Creates all intermediate directories; returns false if a path component
   // is an existing non-directory.
   bool mkdirs(std::string_view path);
-  // Writes a regular file, creating parent directories. Overwrites.
+  // Writes a regular file, creating parent directories. Overwrites. The
+  // Blob overload shares the caller's buffer; the others wrap theirs once.
+  bool write_file(std::string_view path, support::Blob content);
   bool write_file(std::string_view path, support::Bytes content);
   bool write_file(std::string_view path, std::string_view text);
   // Creates a symlink at `path` pointing to `target` (absolute, or relative
@@ -55,13 +58,17 @@ class Vfs {
   // The pointer read() returns stays valid until the *same path* is
   // rewritten or removed — callers coordinate that through subtree leases
   // (each job mutates only its own scratch subtree; system paths are
-  // read-only while migrations run), not through the Vfs itself.
+  // read-only while migrations run), not through the Vfs itself. A Blob
+  // from read_blob() keeps its buffer alive through any rewrite or removal.
   bool exists(std::string_view path) const;
   bool is_dir(std::string_view path) const;
   bool is_file(std::string_view path) const;
   bool is_symlink(std::string_view path) const;  // does NOT follow
   // Content of a regular file; nullptr if absent / dangling / a directory.
   const support::Bytes* read(std::string_view path) const;
+  // The same content as a shared Blob; nullopt where read() is nullptr.
+  // One call draws one fault decision, exactly like read().
+  std::optional<support::Blob> read_blob(std::string_view path) const;
   // Canonical path after resolving symlinks; nullopt if unresolvable.
   std::optional<std::string> resolve(std::string_view path) const;
   // Names (not full paths) of a directory's entries, sorted.
@@ -122,12 +129,15 @@ class Vfs {
   // Version stamp of the regular file at `path` (symlinks followed):
   // the generation value at which its content was last written. Each
   // write produces a globally unique stamp, so equal (path, version)
-  // implies byte-identical content. nullopt when `path` is not a file.
+  // implies byte-identical content. A location identity, for the search,
+  // ldd and EDC memos; the BDC and parse memos key on Blob content
+  // instead. nullopt when `path` is not a file.
   std::optional<std::uint64_t> file_version(std::string_view path) const;
 
   // --- fault injection (opt-in; see site/fault.hpp)
-  // With an enabled injector attached, read() may return nullptr (ENOENT /
-  // EIO) or a truncated copy (short read), and write_file() may fail with
+  // With an enabled injector attached, read() and read_blob() may return
+  // nothing (ENOENT / EIO) or a truncated copy (short read, a new Blob:
+  // different content, never the node's), and write_file() may fail with
   // EIO (nothing written) or a torn write (partial node written, then
   // rolled back — the tree and generation end unchanged). A null or
   // disabled injector leaves behaviour exactly as before.
@@ -144,7 +154,7 @@ class Vfs {
   struct Node {
     enum class Kind : std::uint8_t { kDir, kFile, kSymlink };
     Kind kind = Kind::kDir;
-    support::Bytes content;                        // kFile
+    support::Blob content;                         // kFile
     std::uint64_t version = 0;                     // kFile: write stamp
     std::string target;                            // kSymlink
     std::map<std::string, std::unique_ptr<Node>> children;  // kDir
@@ -157,6 +167,11 @@ class Vfs {
   Node* walk_mut(std::string_view path);
   // Parent directory node, creating directories as needed.
   Node* ensure_parent(std::string_view path);
+
+  // `content` as a read of `path` sees it after the injector's decision.
+  // Caller holds the tree lock.
+  std::optional<support::Blob> faulted_read(std::string_view path,
+                                            const support::Blob& content) const;
 
   // Advances the mutation counters for a successful write at `path` (the
   // system counter only when the path is outside the scratch prefixes) and
@@ -186,7 +201,7 @@ class Vfs {
   // pointer; a deque never relocates existing elements. Guarded by its
   // own mutex: read() holds only the shared tree lock when faulting.
   std::unique_ptr<std::mutex> scratch_mutex_;
-  mutable std::deque<support::Bytes> short_read_scratch_;
+  mutable std::deque<support::Blob> short_read_scratch_;
   // Sealed subtree prefixes, sorted; guarded by the tree mutex (mutators
   // already hold the exclusive side when they consult it).
   std::vector<std::string> sealed_;

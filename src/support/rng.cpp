@@ -1,5 +1,7 @@
 #include "support/rng.hpp"
 
+#include <cstring>
+
 namespace feam::support {
 
 std::uint64_t Rng::next_u64() {
@@ -36,10 +38,10 @@ Rng Rng::fork(std::string_view label) const {
 }
 
 std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = kFnvBasis;
   for (const char c : text) {
     h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
+    h *= kFnvPrime;
   }
   return h;
 }
@@ -47,7 +49,7 @@ std::uint64_t fnv1a(std::string_view text) {
 std::uint64_t fnv1a_mix(std::uint64_t hash, std::uint64_t value) {
   for (int i = 0; i < 8; ++i) {
     hash ^= (value >> (i * 8)) & 0xff;
-    hash *= 0x100000001b3ULL;
+    hash *= kFnvPrime;
   }
   return hash;
 }
@@ -55,8 +57,21 @@ std::uint64_t fnv1a_mix(std::uint64_t hash, std::uint64_t value) {
 std::uint64_t fnv1a_mix(std::uint64_t hash, std::string_view text) {
   for (const char c : text) {
     hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
+    hash *= kFnvPrime;
   }
+  return hash;
+}
+
+std::uint64_t fnv1a_words(std::uint64_t hash, const std::uint8_t* data,
+                          std::size_t size) {
+  while (size >= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, data, 8);
+    hash = (hash ^ word) * kFnvPrime;
+    data += 8;
+    size -= 8;
+  }
+  while (size-- > 0) hash = (hash ^ *data++) * kFnvPrime;
   return hash;
 }
 

@@ -5,6 +5,7 @@
 // experiment seed, so every table in EXPERIMENTS.md is bit-reproducible.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -34,6 +35,10 @@ class Rng {
   std::uint64_t state_;
 };
 
+// FNV-1a (64-bit) offset basis and prime: fnv1a_mix(kFnvBasis, lease_id).
+inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
 // Stable 64-bit FNV-1a hash of a string (used for stream derivation and for
 // synthesizing deterministic per-binary content).
 std::uint64_t fnv1a(std::string_view text);
@@ -43,5 +48,10 @@ std::uint64_t fnv1a(std::string_view text);
 // fnv1a_mix(fnv1a(path), version) — without intermediate strings.
 std::uint64_t fnv1a_mix(std::uint64_t hash, std::uint64_t value);
 std::uint64_t fnv1a_mix(std::uint64_t hash, std::string_view text);
+
+// Fold a byte region into a stream a 64-bit word at a time, then the tail
+// byte-wise (Blob's content hash). Values differ from byte-wise folding.
+std::uint64_t fnv1a_words(std::uint64_t hash, const std::uint8_t* data,
+                          std::size_t size);
 
 }  // namespace feam::support

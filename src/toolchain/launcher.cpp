@@ -67,20 +67,10 @@ std::optional<RunResult> check_abi(const Site& host, const elf::ElfFile& binary,
 
   for (const auto& lib : resolution.libs) {
     if (!lib.path) continue;
-    const auto* injector = host.vfs.fault_injector();
-    const std::uint64_t before =
-        injector != nullptr ? injector->fault_count() : 0;
-    const support::Bytes* data = host.vfs.read(*lib.path);
-    const bool faulted =
-        injector != nullptr && injector->fault_count() != before;
-    if (data == nullptr) continue;
+    const auto data = host.vfs.read_blob(*lib.path);
+    if (!data) continue;
     std::optional<elf::ElfFile> parsed_local;
-    const elf::ElfFile* parsed = nullptr;
-    if (cache != nullptr && !faulted) {
-      parsed = cache->parsed_elf(host, *lib.path, *data);
-    } else if (auto direct = elf::ElfFile::parse(*data); direct.ok()) {
-      parsed = &parsed_local.emplace(std::move(direct).take());
-    }
+    const elf::ElfFile* parsed = binutils::parse_elf(*data, cache, parsed_local);
     if (parsed == nullptr || !parsed->abi_note()) continue;
     const elf::AbiNote& note = *parsed->abi_note();
 
@@ -211,38 +201,6 @@ const char* run_status_name(RunStatus status) {
 
 namespace {
 
-// Parsed view of a binary that already passed load_binary, through the
-// cache's write-stamp memo when available. `local` keeps an uncached parse
-// alive in the caller's scope. Returns nullptr when the bytes fail to
-// parse after all — possible only when the re-read was touched by fault
-// injection (`faulted`, which also keeps the truncated bytes out of the
-// stamp-keyed memo).
-const elf::ElfFile* parse_loaded(const site::Site& host,
-                                 std::string_view binary_path,
-                                 const support::Bytes& data, bool faulted,
-                                 binutils::ResolverCache* cache,
-                                 std::optional<elf::ElfFile>& local) {
-  if (cache != nullptr && !faulted) {
-    if (const elf::ElfFile* memo = cache->parsed_elf(host, binary_path, data)) {
-      return memo;
-    }
-  }
-  auto parsed = elf::ElfFile::parse(data);
-  if (!parsed.ok()) return nullptr;
-  return &local.emplace(std::move(parsed).take());
-}
-
-// vfs.read plus a flag reporting whether fault injection touched it.
-const support::Bytes* read_tracked(const site::Site& host,
-                                   std::string_view path, bool& faulted) {
-  const auto* injector = host.vfs.fault_injector();
-  const std::uint64_t before =
-      injector != nullptr ? injector->fault_count() : 0;
-  const support::Bytes* data = host.vfs.read(path);
-  faulted = injector != nullptr && injector->fault_count() != before;
-  return data;
-}
-
 // Command-execution event shared by the serial and MPI launch paths.
 void emit_run_event(const char* name, const site::Site& host,
                     std::string_view binary_path, int ranks,
@@ -263,13 +221,11 @@ RunResult run_serial_impl(const site::Site& host, std::string_view binary_path,
   const LoadReport report = load_binary(host, binary_path, extra_lib_dirs, cache);
   if (report.status != LoadStatus::kOk) return from_load_report(report);
 
-  bool faulted = false;
-  const support::Bytes* data = read_tracked(host, binary_path, faulted);
+  // Re-read after load_binary: a faulted short read can fail to parse.
+  const auto data = host.vfs.read_blob(binary_path);
   std::optional<elf::ElfFile> local;
   const elf::ElfFile* binary_view =
-      data == nullptr
-          ? nullptr
-          : parse_loaded(host, binary_path, *data, faulted, cache, local);
+      data ? binutils::parse_elf(*data, cache, local) : nullptr;
   if (binary_view == nullptr) {
     return {RunStatus::kSystemError,
             std::string(binary_path) + ": Input/output error", ""};
@@ -313,13 +269,11 @@ RunResult mpiexec_impl(const site::Site& host, std::string_view binary_path,
   const LoadReport report = load_binary(host, binary_path, extra_lib_dirs, cache);
   if (report.status != LoadStatus::kOk) return from_load_report(report);
 
-  bool faulted = false;
-  const support::Bytes* data = read_tracked(host, binary_path, faulted);
+  // Re-read after load_binary: a faulted short read can fail to parse.
+  const auto data = host.vfs.read_blob(binary_path);
   std::optional<elf::ElfFile> local;
   const elf::ElfFile* binary_view =
-      data == nullptr
-          ? nullptr
-          : parse_loaded(host, binary_path, *data, faulted, cache, local);
+      data ? binutils::parse_elf(*data, cache, local) : nullptr;
   if (binary_view == nullptr) {
     return {RunStatus::kSystemError,
             std::string(binary_path) + ": Input/output error", ""};

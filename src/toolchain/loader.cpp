@@ -14,30 +14,18 @@ LoadReport load_binary(const site::Site& host, std::string_view path,
                        binutils::ResolverCache* cache) {
   obs::ScopedTimer timer(obs::histogram("launcher.load_ns"));
   LoadReport report;
-  const auto* injector = host.vfs.fault_injector();
-  const std::uint64_t faults_before =
-      injector != nullptr ? injector->fault_count() : 0;
-  const support::Bytes* data = host.vfs.read(path);
-  const bool read_faulted =
-      injector != nullptr && injector->fault_count() != faults_before;
-  if (data == nullptr) {
+  const auto data = host.vfs.read_blob(path);
+  if (!data) {
     report.status = LoadStatus::kFileNotFound;
     report.detail = std::string(path) + ": No such file or directory";
     return report;
   }
   std::optional<elf::ElfFile> local;
-  const elf::ElfFile* binary = nullptr;
-  // Bytes touched by fault injection carry an unchanged write stamp and
-  // must not reach the stamp-keyed parse memo.
-  if (cache != nullptr && !read_faulted) {
-    binary = cache->parsed_elf(host, path, *data);
-  } else if (auto parsed = elf::ElfFile::parse(*data); parsed.ok()) {
-    binary = &local.emplace(std::move(parsed).take());
-  }
+  const elf::ElfFile* binary = binutils::parse_elf(*data, cache, local);
   if (binary == nullptr) {
     report.status = LoadStatus::kExecFormatError;
     report.detail = std::string(path) + ": cannot execute binary file: " +
-                    elf::ElfFile::parse(*data).error();
+                    elf::ElfFile::parse(data->bytes()).error();
     return report;
   }
   if (!elf::isa_executable_on(binary->isa(), host.isa)) {

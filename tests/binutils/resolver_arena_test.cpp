@@ -1,9 +1,10 @@
 // Lifetime contract of the parsed-ELF memo: the cached ElfFile borrows
-// the entry's own arena copy of the file bytes, never the VFS node the
-// caller read from. These tests mutate the VFS out from under a cached
-// parse — rewriting the same path, deleting it, churning unrelated
-// entries — and assert the old pointer's views still read correctly.
-// Run under ASan, a stale borrow here is a heap-use-after-free.
+// the Blob its entry holds — the buffer the VFS node shared, kept alive
+// by the entry after the node lets go. These tests mutate the VFS out
+// from under a cached parse — rewriting the same path, deleting it,
+// churning unrelated entries — and assert the old pointer's views still
+// read correctly. Run under ASan, a stale borrow here is a
+// heap-use-after-free.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -43,9 +44,9 @@ site::Site make_host() {
 // Parses through the cache and returns the memoized pointer.
 const elf::ElfFile* cached_parse(ResolverCache& cache, site::Site& s,
                                  const std::string& path) {
-  const support::Bytes* data = s.vfs.read(path);
-  EXPECT_NE(data, nullptr);
-  return cache.parsed_elf(s, path, *data);
+  const auto data = s.vfs.read_blob(path);
+  EXPECT_TRUE(data.has_value());
+  return data ? cache.parsed_elf(*data) : nullptr;
 }
 
 TEST(ResolverArena, ViewsSurviveRewriteOfSameFile) {
@@ -56,8 +57,8 @@ TEST(ResolverArena, ViewsSurviveRewriteOfSameFile) {
   ASSERT_NE(before, nullptr);
   ASSERT_TRUE(before->soname().has_value());
 
-  // Rewriting the path frees the VFS node's old byte buffer. The cached
-  // parse must not notice: its views borrow the entry's arena.
+  // Rewriting the path drops the VFS node's hold on the old buffer. The
+  // cached parse must not notice: its views borrow the entry's Blob.
   s.vfs.write_file("/lib64/libmpi.so.0",
                    elf::build_image(lib_spec("libmpi.so.2", {"libc.so.6"})));
 
@@ -68,8 +69,8 @@ TEST(ResolverArena, ViewsSurviveRewriteOfSameFile) {
   ASSERT_EQ(before->comments().size(), 2u);
   EXPECT_EQ(before->comments()[0], "GCC: (GNU) 4.1.2");
 
-  // The rewritten file gets its own entry under the new write stamp; the
-  // old pointer keeps describing the old content.
+  // The rewritten file is new content with an entry of its own; the old
+  // pointer keeps describing the old content.
   const elf::ElfFile* after = cached_parse(cache, s, "/lib64/libmpi.so.0");
   ASSERT_NE(after, nullptr);
   EXPECT_NE(after, before);

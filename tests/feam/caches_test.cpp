@@ -1,8 +1,10 @@
 // The migration-engine memoization layer: content-addressed BDC cache
-// (including the injected-hash collision path and the write-stamp fast
-// path), the fingerprint-keyed EDC memo, and the resolver cache's exact
-// invalidation on site mutation — and, after a pooled evaluation run, the
-// agreement of every memo's getters with its labeled metric series.
+// (including the injected-hash collision path), the fingerprint-keyed EDC
+// memo, the resolver cache's exact invalidation on site mutation and its
+// content-keyed parse memo (shared across sites, exact under hash
+// collisions, unharmed by short reads) — and, after a pooled evaluation
+// run, the agreement of every memo's getters with its labeled metric
+// series.
 #include "feam/caches.hpp"
 
 #include <gtest/gtest.h>
@@ -282,33 +284,123 @@ TEST(ResolverCache, LddMemoInvalidatedByAnySiteMutation) {
   EXPECT_GT(cache.misses(), misses_before);
 }
 
-TEST(ResolverCache, ParseMemoKeyedOnWriteStamp) {
+TEST(ResolverCache, ParseMemoKeyedOnContent) {
   auto s = toolchain::make_site("india");
   const std::string a = compile_app(*s, "alpha", {"base", "stdio"});
   const std::string b = compile_app(*s, "beta", {"base", "stdio", "math"});
+  const support::Bytes a_bytes = *s->vfs.read(a);
   const support::Bytes b_bytes = *s->vfs.read(b);
 
   binutils::ResolverCache cache;
-  const elf::ElfFile* first = cache.parsed_elf(*s, a, *s->vfs.read(a));
+  const elf::ElfFile* first = cache.parsed_elf(*s->vfs.read_blob(a));
   ASSERT_NE(first, nullptr);
   // Unchanged file: the exact same entry is served again.
-  EXPECT_EQ(cache.parsed_elf(*s, a, *s->vfs.read(a)), first);
+  EXPECT_EQ(cache.parsed_elf(*s->vfs.read_blob(a)), first);
 
-  // Rewritten file: new write stamp, new parse reflecting the new bytes.
+  // Rewritten file: new content, new parse reflecting the new bytes.
   ASSERT_TRUE(s->vfs.write_file(a, b_bytes));
-  const elf::ElfFile* rewritten = cache.parsed_elf(*s, a, *s->vfs.read(a));
+  const elf::ElfFile* rewritten = cache.parsed_elf(*s->vfs.read_blob(a));
   ASSERT_NE(rewritten, nullptr);
   EXPECT_NE(rewritten, first);
   EXPECT_EQ(rewritten->file_size(), b_bytes.size());
 
   // Non-ELF content parses to nullptr, memoized the same way.
   ASSERT_TRUE(s->vfs.write_file("/tmp/script.sh", "#!/bin/sh\n"));
-  EXPECT_EQ(cache.parsed_elf(*s, "/tmp/script.sh",
-                             *s->vfs.read("/tmp/script.sh")),
-            nullptr);
-  EXPECT_EQ(cache.parsed_elf(*s, "/tmp/script.sh",
-                             *s->vfs.read("/tmp/script.sh")),
-            nullptr);
+  EXPECT_EQ(cache.parsed_elf(*s->vfs.read_blob("/tmp/script.sh")), nullptr);
+  EXPECT_EQ(cache.parsed_elf(*s->vfs.read_blob("/tmp/script.sh")), nullptr);
+
+  // The same bytes written at a second site, into a buffer of their own,
+  // are the same content: the parse is shared, not repeated.
+  auto other = toolchain::make_site("fir");
+  ASSERT_TRUE(other->vfs.write_file("/home/user/alpha", a_bytes));
+  const std::uint64_t misses = cache.parse_misses();
+  EXPECT_EQ(cache.parsed_elf(*other->vfs.read_blob("/home/user/alpha")),
+            first);
+  EXPECT_EQ(cache.parsed_elf(*other->vfs.read_blob("/home/user/alpha")),
+            first);
+  EXPECT_EQ(cache.parse_misses(), misses);
+}
+
+TEST(ResolverCache, ParseMemoHashCollisionIsAMissNotAnAlias) {
+  auto s = toolchain::make_site("india");
+  const support::Bytes* libc = s->vfs.read("/lib64/libc.so.6");
+  ASSERT_NE(libc, nullptr);
+  // One byte between the sampled head and the first sampled interior
+  // window: the two contents differ, their sampled hashes do not.
+  support::Bytes altered = *libc;
+  altered[altered.size() / 30] ^= 0xff;
+  const support::Blob original(*libc);
+  const support::Blob collided(altered);
+  ASSERT_EQ(original.hash(), collided.hash());
+
+  binutils::ResolverCache cache;
+  const elf::ElfFile* first = cache.parsed_elf(original);
+  const elf::ElfFile* second = cache.parsed_elf(collided);
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  EXPECT_NE(first, second);
+  EXPECT_EQ(cache.parse_misses(), 2u);
+  // Both colliding entries are served as hits afterwards.
+  EXPECT_EQ(cache.parsed_elf(support::Blob(*libc)), first);
+  EXPECT_EQ(cache.parsed_elf(support::Blob(altered)), second);
+  EXPECT_EQ(cache.parse_hits(), 2u);
+}
+
+TEST(ResolverCache, ShortReadsAreOtherContentAndLeaveTheIntactParseAlone) {
+  auto s = toolchain::make_site("india");
+  const std::string path = compile_app(*s, "probe", {"base", "stdio"});
+  s->load_module("openmpi/1.4-gnu");
+
+  // Half the reads are short reads: the memo sees truncated contents
+  // beside intact ones.
+  site::FaultInjector::Options options;
+  options.seed = 7;
+  options.rate = 0.5;
+  options.enoent = false;
+  options.eio = false;
+  options.torn_write = false;
+  auto injector = std::make_shared<site::FaultInjector>(options);
+  s->vfs.set_fault_injector(injector);
+  binutils::ResolverCache cache;
+  injector->set_enabled(true);
+  for (int i = 0; i < 4; ++i) {
+    (void)binutils::resolve_libraries(*s, path, {}, &cache);
+  }
+  injector->set_enabled(false);
+  ASSERT_GT(injector->fault_count(), 0u);
+  ASSERT_GT(cache.parse_misses(), 0u);
+
+  // The intact file is a content of its own: its cached parse is exactly
+  // the uncached one, whatever truncated views the memo holds.
+  const elf::ElfFile* cached = cache.parsed_elf(*s->vfs.read_blob(path));
+  const auto uncached = elf::ElfFile::parse(*s->vfs.read(path));
+  ASSERT_TRUE(uncached.ok()) << uncached.error();
+  ASSERT_NE(cached, nullptr);
+  EXPECT_EQ(cached->file_size(), uncached.value().file_size());
+  EXPECT_EQ(cached->needed(), uncached.value().needed());
+  EXPECT_EQ(cached->rpath(), uncached.value().rpath());
+  EXPECT_EQ(cached->comments(), uncached.value().comments());
+  EXPECT_EQ(cached->dynamic_symbols().size(),
+            uncached.value().dynamic_symbols().size());
+  ASSERT_EQ(cached->version_references().size(),
+            uncached.value().version_references().size());
+  for (std::size_t i = 0; i < cached->version_references().size(); ++i) {
+    EXPECT_EQ(cached->version_references()[i].file,
+              uncached.value().version_references()[i].file);
+    EXPECT_EQ(cached->version_references()[i].versions,
+              uncached.value().version_references()[i].versions);
+  }
+
+  // And so is every resolution built on it.
+  const auto direct = binutils::resolve_libraries(*s, path);
+  const auto memoized = binutils::resolve_libraries(*s, path, {}, &cache);
+  ASSERT_TRUE(direct.root_parsed);
+  ASSERT_EQ(memoized.libs.size(), direct.libs.size());
+  for (std::size_t i = 0; i < direct.libs.size(); ++i) {
+    EXPECT_EQ(memoized.libs[i].name, direct.libs[i].name);
+    EXPECT_EQ(memoized.libs[i].path, direct.libs[i].path);
+  }
+  EXPECT_EQ(memoized.version_errors.size(), direct.version_errors.size());
 }
 
 TEST(ResolverCache, CachedResolutionMatchesUncached) {

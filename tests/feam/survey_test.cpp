@@ -35,8 +35,7 @@ Fixture make_fixture(MpiImpl impl, CompilerFamily fam,
                                                        "/home/user/probe");
   EXPECT_TRUE(compiled.ok());
   f.binary = *f.home->vfs.read(compiled.value());
-  f.home->load_module(std::string(site::mpi_impl_slug(impl)) + "/" +
-                      stack->version.str() + "-" + site::compiler_slug(fam));
+  f.home->load_module(site::module_name(*stack));
   f.source = run_source_phase(*f.home, compiled.value()).take();
 
   for (const auto& name : toolchain::testbed_site_names()) {
@@ -171,6 +170,38 @@ TEST(Survey, BasicModeWithoutBundle) {
   const auto extended = survey_sites(f.sites, "probe", f.binary, &f.source);
   // Resolution can only help: extended readiness dominates basic.
   EXPECT_GE(extended.ready_count(), basic.ready_count());
+}
+
+TEST(Survey, OneBinaryIsParsedAndDescribedOncePerContent) {
+  auto f = make_fixture(MpiImpl::kOpenMpi, CompilerFamily::kGnu,
+                        toolchain::Language::kC);
+  const auto survey_testbed = [&](MigrationCaches& caches) {
+    std::vector<std::unique_ptr<site::Site>> owned;
+    std::vector<site::Site*> sites;
+    for (const auto& name : toolchain::testbed_site_names()) {
+      owned.push_back(toolchain::make_site(name));
+      sites.push_back(owned.back().get());
+    }
+    ASSERT_EQ(sites.size(), 5u);
+    SurveyOptions options;
+    options.caches = &caches;
+    (void)survey_sites(sites, "probe", f.binary, &f.source, {}, options);
+  };
+
+  // Every parse the survey needs besides the binary's: the same survey
+  // with the binary's content already in the memo (from a buffer of its
+  // own, so the survey's copy is matched by content).
+  MigrationCaches warm;
+  ASSERT_NE(warm.resolver.parsed_elf(support::Blob(f.binary)), nullptr);
+  survey_testbed(warm);
+  const std::uint64_t other_parses = warm.resolver.parse_misses() - 1;
+
+  MigrationCaches cold;
+  survey_testbed(cold);
+  // Five sites, one content: one parse and one description, shared.
+  EXPECT_EQ(cold.resolver.parse_misses() - other_parses, 1u);
+  EXPECT_EQ(cold.bdc.misses(), 1u);
+  EXPECT_EQ(cold.bdc.hits(), 4u);
 }
 
 }  // namespace
