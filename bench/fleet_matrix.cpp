@@ -253,13 +253,19 @@ int main(int argc, char** argv) {
   std::size_t prov_covered = 0;
   double prov_with_bytes = 0.0;
   double prov_without_bytes = 0.0;
+  std::string line;
+  // Serialized size of one record, its trailing newline excluded.
+  const auto record_bytes = [&line](const report::RunRecord& record) {
+    line.clear();
+    record.append_jsonl(line);
+    return static_cast<double>(line.size() - 1);
+  };
   for (const auto& record : prov_drift_records) {
     if (!record.provenance.empty()) ++prov_covered;
-    prov_with_bytes += static_cast<double>(record.to_json().dump().size());
+    prov_with_bytes += record_bytes(record);
     report::RunRecord stripped = record;
     stripped.provenance.clear();
-    prov_without_bytes +=
-        static_cast<double>(stripped.to_json().dump().size());
+    prov_without_bytes += record_bytes(stripped);
   }
   const double prov_overhead =
       prov_without_bytes > 0.0

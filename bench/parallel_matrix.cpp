@@ -108,10 +108,7 @@ namespace {
 // two runs agreed on every record, field for field.
 std::string records_dump(const std::vector<MigrationResult>& results) {
   std::string out;
-  for (const auto& record : to_run_records(results)) {
-    out += record.to_json().dump();
-    out += '\n';
-  }
+  for (const auto& record : to_run_records(results)) record.append_jsonl(out);
   return out;
 }
 

@@ -25,34 +25,12 @@ bool candidate_compatible(const site::Site& host, const support::Bytes& data,
   return elf::isa_executable_on(f.isa(), host.isa);
 }
 
-}  // namespace
-
-bool Resolution::complete() const {
-  return root_parsed &&
-         std::all_of(libs.begin(), libs.end(),
-                     [](const ResolvedLib& l) { return l.path.has_value(); });
-}
-
-std::vector<std::string> Resolution::missing() const {
-  std::vector<std::string> out;
-  for (const ResolvedLib& lib : libs) {
-    if (!lib.path) out.push_back(lib.name);
-  }
-  return out;
-}
-
-std::optional<std::string> Resolution::path_of(std::string_view needed_name) const {
-  for (const ResolvedLib& lib : libs) {
-    if (lib.name == needed_name) return lib.path;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string> search_library(const site::Site& host,
-                                          std::string_view soname, int bits,
-                                          const std::vector<std::string>& rpath,
-                                          const std::vector<std::string>& extra_dirs,
-                                          ResolverCache* cache) {
+// The loader's search order: extra dirs, rpath, LD_LIBRARY_PATH, then the
+// default dirs for `bits`. A function of the host's environment, which a
+// resolution never changes, so one closure walk builds it once.
+std::vector<std::string> search_order(const site::Site& host, int bits,
+                                      const std::vector<std::string>& rpath,
+                                      const std::vector<std::string>& extra_dirs) {
   std::vector<std::string> dirs;
   dirs.insert(dirs.end(), extra_dirs.begin(), extra_dirs.end());
   dirs.insert(dirs.end(), rpath.begin(), rpath.end());
@@ -60,7 +38,14 @@ std::optional<std::string> search_library(const site::Site& host,
   dirs.insert(dirs.end(), ld_path.begin(), ld_path.end());
   const auto defaults = host.default_lib_dirs(bits);
   dirs.insert(dirs.end(), defaults.begin(), defaults.end());
+  return dirs;
+}
 
+// Finds `soname` along `dirs`, honoring skip-on-wrong-class.
+std::optional<std::string> search_dirs(const site::Site& host,
+                                       std::string_view soname, int bits,
+                                       const std::vector<std::string>& dirs,
+                                       ResolverCache* cache) {
   // Provenance: the walk's evidence is a pure function of (soname, dirs,
   // result), all of which a memo hit has in hand — recording at every exit
   // keeps cached and uncached provenance byte-identical without storing
@@ -106,6 +91,38 @@ std::optional<std::string> search_library(const site::Site& host,
   return found;
 }
 
+}  // namespace
+
+bool Resolution::complete() const {
+  return root_parsed &&
+         std::all_of(libs.begin(), libs.end(),
+                     [](const ResolvedLib& l) { return l.path.has_value(); });
+}
+
+std::vector<std::string> Resolution::missing() const {
+  std::vector<std::string> out;
+  for (const ResolvedLib& lib : libs) {
+    if (!lib.path) out.push_back(lib.name);
+  }
+  return out;
+}
+
+std::optional<std::string> Resolution::path_of(std::string_view needed_name) const {
+  for (const ResolvedLib& lib : libs) {
+    if (lib.name == needed_name) return lib.path;
+  }
+  return std::nullopt;
+}
+
+std::optional<std::string> search_library(const site::Site& host,
+                                          std::string_view soname, int bits,
+                                          const std::vector<std::string>& rpath,
+                                          const std::vector<std::string>& extra_dirs,
+                                          ResolverCache* cache) {
+  return search_dirs(host, soname, bits,
+                     search_order(host, bits, rpath, extra_dirs), cache);
+}
+
 Resolution resolve_libraries(const site::Site& host, std::string_view binary_path,
                              const std::vector<std::string>& extra_search_dirs,
                              ResolverCache* cache) {
@@ -136,6 +153,8 @@ Resolution resolve_libraries(const site::Site& host, std::string_view binary_pat
   std::vector<std::string> rpath;
   rpath.reserve(root->rpath().size());
   for (const auto& dir : root->rpath()) rpath.emplace_back(dir);
+  const std::vector<std::string> dirs =
+      search_order(host, bits, rpath, extra_search_dirs);
 
   // BFS over NEEDED closure, tracking per-name depth and a parent chain so
   // cycles and runaway depths are *detected* (the dedup set alone would
@@ -195,8 +214,7 @@ Resolution resolve_libraries(const site::Site& host, std::string_view binary_pat
     const Pending item = queue.front();
     queue.pop_front();
     ResolvedLib lib{item.name, std::nullopt, item.requested_by};
-    lib.path = search_library(host, item.name, bits, rpath, extra_search_dirs,
-                              cache);
+    lib.path = search_dirs(host, item.name, bits, dirs, cache);
     if (lib.path) {
       provider_paths.emplace(item.name, *lib.path);
       if (const auto data = host.vfs.read_blob(*lib.path)) {

@@ -1,7 +1,7 @@
 #include "obs/provenance.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <utility>
 
 namespace feam::obs {
 
@@ -20,6 +20,24 @@ struct Frame {
 
 thread_local Frame* tl_frames = nullptr;
 
+// Hands `e` to the frame's one sink: its tee vector or its EvidenceSet.
+void deliver(Frame& frame, Evidence e) {
+  if (frame.tee != nullptr) {
+    frame.tee->push_back(std::move(e));
+  } else {
+    frame.set->add(std::move(e));
+  }
+}
+
+// The 16 lowercase hex digits of `stamp` (what stamp_hex() returns).
+void write_stamp_hex(std::uint64_t stamp, char (&out)[16]) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (int i = 15; i >= 0; --i) {
+    out[i] = kHex[stamp & 0xf];
+    stamp >>= 4;
+  }
+}
+
 bool parse_stamp_hex(std::string_view hex, std::uint64_t& out) {
   if (hex.size() != 16) return false;
   std::uint64_t value = 0;
@@ -36,10 +54,9 @@ bool parse_stamp_hex(std::string_view hex, std::uint64_t& out) {
 }  // namespace
 
 std::string Evidence::stamp_hex() const {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(stamp));
-  return buf;
+  char hex[16];
+  write_stamp_hex(stamp, hex);
+  return std::string(hex, sizeof hex);
 }
 
 void EvidenceSet::add(Evidence e) {
@@ -70,10 +87,7 @@ std::uint64_t EvidenceSet::dropped() const {
 std::vector<Evidence> EvidenceSet::items() const {
   std::vector<Evidence> out;
   out.reserve(std::min(items_.size(), kMaxItems));
-  for (const auto& e : items_) {
-    if (out.size() >= kMaxItems) break;
-    out.push_back(e);
-  }
+  for_each_item([&](const Evidence& e) { out.push_back(e); });
   return out;
 }
 
@@ -94,6 +108,35 @@ support::Json EvidenceSet::to_json() const {
   }
   out.set("evidence", support::Json(std::move(evidence)));
   return out;
+}
+
+// Keys in the sorted order the to_json() tree dumps them.
+void EvidenceSet::append_json(std::string& out) const {
+  out += "{\"dropped\":";
+  support::append_json_number(out, static_cast<double>(dropped()));
+  out += ",\"evidence\":[";
+  bool first = true;
+  for_each_item([&](const Evidence& e) {
+    out += first ? "{\"detail\":" : ",{\"detail\":";
+    first = false;
+    support::append_json_string(out, e.detail);
+    out += ",\"kind\":";
+    support::append_json_string(out, e.kind);
+    out += ",\"site\":";
+    support::append_json_string(out, e.site);
+    out += ",\"stage\":";
+    support::append_json_string(out, e.stage);
+    char hex[16];
+    write_stamp_hex(e.stamp, hex);
+    out += ",\"stamp\":\"";
+    out.append(hex, sizeof hex);
+    out += "\",\"subject\":";
+    support::append_json_string(out, e.subject);
+    out += '}';
+  });
+  out += "],\"schema\":";
+  support::append_json_string(out, kProvenanceSchema);
+  out += '}';
 }
 
 std::optional<EvidenceSet> EvidenceSet::from_json(const support::Json& j) {
@@ -145,10 +188,13 @@ std::vector<std::string> EvidenceSet::validate() const {
 bool provenance_active() { return tl_frames != nullptr; }
 
 void record_evidence(Evidence e) {
-  if (tl_frames == nullptr) return;
+  // Every frame but the outermost gets a copy; the outermost takes `e`.
   for (Frame* f = tl_frames; f != nullptr; f = f->prev) {
-    if (f->tee != nullptr) f->tee->push_back(e);
-    if (f->set != nullptr) f->set->add(e);
+    if (f->prev == nullptr) {
+      deliver(*f, std::move(e));
+    } else {
+      deliver(*f, e);
+    }
   }
 }
 

@@ -102,7 +102,22 @@ class EvidenceSet {
   // Sorted, capped view — exactly what serializes.
   std::vector<Evidence> items() const;
 
+  // Calls `fn(const Evidence&)` on each item of the items() view, in
+  // order, without copying them.
+  template <typename Fn>
+  void for_each_item(Fn&& fn) const {
+    std::size_t n = 0;
+    for (const auto& e : items_) {
+      if (n++ == kMaxItems) break;
+      fn(e);
+    }
+  }
+
+  // to_json() is the reference serialization; append_json() appends the
+  // same bytes as to_json().dump() without building the tree (the fleet
+  // record writer's path).
   support::Json to_json() const;
+  void append_json(std::string& out) const;
   static std::optional<EvidenceSet> from_json(const support::Json& j);
 
   // Internal-consistency issues of a deserialized set (empty when OK).

@@ -25,55 +25,67 @@ std::string format_ns(double ns) {
 
 }  // namespace
 
+void fold_record(Aggregate& out, const RunRecord& record) {
+  for (const auto& [name, value] : record.counters) {
+    out.counters[name] += value;
+  }
+  for (const auto& [name, snapshot] : record.histograms) {
+    out.histograms[name].merge(snapshot);
+  }
+  if (!record.spans.empty()) {
+    out.profile.merge(obs::build_profile(to_profile_spans(record)));
+    ++out.profiled_records;
+  }
+  if (!record.provenance.empty()) {
+    ++out.provenance_records;
+    out.evidence_dropped += record.provenance.dropped();
+    // Items arrive sorted by stage first, so each stage's run is one
+    // roll-up lookup.
+    const std::string* stage = nullptr;
+    std::uint64_t run = 0;
+    record.provenance.for_each_item([&](const obs::Evidence& e) {
+      ++out.evidence_items;
+      if (stage != nullptr && *stage != e.stage) {
+        out.evidence_by_stage[*stage] += run;
+        run = 0;
+      }
+      stage = &e.stage;
+      ++run;
+    });
+    if (stage != nullptr) out.evidence_by_stage[*stage] += run;
+  }
+  if (!record.has_prediction) return;
+  ++out.prediction_runs;
+  if (record.ready) ++out.ready_runs;
+  for (const auto& det : record.determinants) {
+    if (det.evaluated && !det.compatible) {
+      ++out.determinant_failures[det.key];
+    }
+  }
+  if (record.binary.empty() || record.target_site.empty()) return;
+  out.sites.insert(record.target_site);
+  MatrixCell& cell = out.matrix[record.binary][record.target_site];
+  if (cell.runs > 0 && cell.ready != record.ready) {
+    out.conflicts.push_back(record.binary + " @ " + record.target_site +
+                            ": ready disagrees across records");
+  }
+  cell.ready = record.ready;
+  cell.blocking_determinant = record.blocking_determinant();
+  cell.detail.clear();
+  for (const auto& det : record.determinants) {
+    if (det.evaluated && !det.compatible) {
+      cell.detail = det.detail;
+      break;
+    }
+  }
+  cell.resolved_libraries = record.resolved_libraries;
+  ++cell.runs;
+}
+
 Aggregate aggregate_records(std::vector<RunRecord> records) {
   Aggregate out;
   out.records = std::move(records);
-  for (const auto& record : out.records) {
-    for (const auto& [name, value] : record.counters) {
-      out.counters[name] += value;
-    }
-    for (const auto& [name, snapshot] : record.histograms) {
-      out.histograms[name].merge(snapshot);
-    }
-    if (!record.spans.empty()) {
-      out.profile.merge(obs::build_profile(to_profile_spans(record)));
-      ++out.profiled_records;
-    }
-    if (!record.provenance.empty()) {
-      ++out.provenance_records;
-      out.evidence_dropped += record.provenance.dropped();
-      for (const auto& e : record.provenance.items()) {
-        ++out.evidence_items;
-        ++out.evidence_by_stage[e.stage];
-      }
-    }
-    if (!record.has_prediction) continue;
-    ++out.prediction_runs;
-    if (record.ready) ++out.ready_runs;
-    for (const auto& det : record.determinants) {
-      if (det.evaluated && !det.compatible) {
-        ++out.determinant_failures[det.key];
-      }
-    }
-    if (record.binary.empty() || record.target_site.empty()) continue;
-    out.sites.insert(record.target_site);
-    MatrixCell& cell = out.matrix[record.binary][record.target_site];
-    if (cell.runs > 0 && cell.ready != record.ready) {
-      out.conflicts.push_back(record.binary + " @ " + record.target_site +
-                              ": ready disagrees across records");
-    }
-    cell.ready = record.ready;
-    cell.blocking_determinant = record.blocking_determinant();
-    cell.detail.clear();
-    for (const auto& det : record.determinants) {
-      if (det.evaluated && !det.compatible) {
-        cell.detail = det.detail;
-        break;
-      }
-    }
-    cell.resolved_libraries = record.resolved_libraries;
-    ++cell.runs;
-  }
+  for (const auto& record : out.records) fold_record(out, record);
   return out;
 }
 

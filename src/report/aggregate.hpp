@@ -67,6 +67,13 @@ struct Aggregate {
 // Folds `records` into an Aggregate (moves them in).
 Aggregate aggregate_records(std::vector<RunRecord> records);
 
+// Folds one record's matrix cell, attribution, provenance, counters,
+// histograms and profile into `aggregate` without retaining the record:
+// `aggregate.records` is left as it is. aggregate_records() is this fold
+// over its records; callers that only render the matrix or roll-ups (the
+// fleet runner) fold in place instead of copying every record.
+void fold_record(Aggregate& aggregate, const RunRecord& record);
+
 // Ingests one JSONL event-log document (one JSON object per line) into the
 // aggregate's event roll-up. Blank lines are skipped; unparseable lines
 // are counted, not fatal.

@@ -100,6 +100,110 @@ support::Json RunRecord::to_json() const {
   return out;
 }
 
+void RunRecord::append_jsonl(std::string& out) const {
+  const auto text = [&](std::string_view s) {
+    support::append_json_string(out, s);
+  };
+  const auto number = [&](double n) { support::append_json_number(out, n); };
+  const auto boolean = [&](bool b) { out += b ? "true" : "false"; };
+
+  out += "{\"binary\":";
+  text(binary);
+  out += ",\"bundle_bytes\":";
+  number(static_cast<double>(bundle_bytes));
+  out += ",\"command\":";
+  text(command);
+  out += ",\"counters\":{";
+  const char* sep = "";
+  for (const auto& [name, value] : counters) {
+    out += sep;
+    sep = ",";
+    text(name);
+    out += ':';
+    number(static_cast<double>(value));
+  }
+  out += "},\"determinants\":[";
+  sep = "";
+  for (const auto& d : determinants) {
+    out += sep;
+    sep = ",";
+    out += "{\"compatible\":";
+    boolean(d.compatible);
+    out += ",\"detail\":";
+    text(d.detail);
+    out += ",\"evaluated\":";
+    boolean(d.evaluated);
+    out += ",\"key\":";
+    text(d.key);
+    out += '}';
+  }
+  out += "],\"exit_code\":";
+  number(exit_code);
+  out += ",\"has_prediction\":";
+  boolean(has_prediction);
+  out += ",\"histograms\":{";
+  sep = "";
+  for (const auto& [name, snapshot] : histograms) {
+    out += sep;
+    sep = ",";
+    text(name);
+    out += ':';
+    out += snapshot.to_json().dump();
+  }
+  out += "},\"missing_libraries\":";
+  number(static_cast<double>(missing_libraries));
+  out += ",\"mode\":";
+  text(mode);
+  if (profile) {
+    out += ",\"profile\":";
+    out += profile->to_json().dump();
+  }
+  if (!provenance.empty()) {
+    out += ",\"provenance\":";
+    provenance.append_json(out);
+  }
+  out += ",\"ready\":";
+  boolean(ready);
+  out += ",\"resolved_libraries\":";
+  number(static_cast<double>(resolved_libraries));
+  out += ",\"schema\":";
+  text(schema);
+  out += ",\"source_site\":";
+  text(source_site);
+  out += ",\"spans\":[";
+  sep = "";
+  for (const auto& span : spans) {
+    out += sep;
+    sep = ",";
+    out += '{';
+    if (span.alloc_count != 0) {
+      out += "\"alloc_bytes\":";
+      number(static_cast<double>(span.alloc_bytes));
+      out += ",\"alloc_count\":";
+      number(static_cast<double>(span.alloc_count));
+      out += ',';
+    }
+    out += "\"dur_ns\":";
+    number(static_cast<double>(span.duration_ns));
+    out += ",\"id\":";
+    number(static_cast<double>(span.id));
+    out += ",\"name\":";
+    text(span.name);
+    out += ",\"parent_id\":";
+    number(static_cast<double>(span.parent_id));
+    out += ",\"start_ns\":";
+    number(static_cast<double>(span.start_ns));
+    out += ",\"tid\":";
+    number(span.tid);
+    out += '}';
+  }
+  out += "],\"target_site\":";
+  text(target_site);
+  out += ",\"unresolved_libraries\":";
+  number(static_cast<double>(unresolved_libraries));
+  out += "}\n";
+}
+
 std::optional<RunRecord> RunRecord::from_json(const support::Json& j) {
   if (!j.is_object()) return std::nullopt;
   if (j.get_string("schema") != kRunRecordSchema) return std::nullopt;

@@ -88,7 +88,13 @@ struct RunRecord {
   // Total duration of the named span (first occurrence), 0 when absent.
   std::uint64_t span_duration_ns(std::string_view name) const;
 
+  // to_json() is the reference serialization (pretty files, round trips).
+  // append_jsonl() appends to_json().dump() and a newline, writing the
+  // fields straight to bytes in the tree's sorted key order; fleet record
+  // streams use it. The profile and histogram sections, which fleet
+  // records never carry, go through their own to_json() trees.
   support::Json to_json() const;
+  void append_jsonl(std::string& out) const;
   static std::optional<RunRecord> from_json(const support::Json& j);
 
   // Internal-consistency issues (empty when the record is well-formed):

@@ -49,58 +49,18 @@ std::size_t utf8_sequence_length(std::string_view s, std::size_t i) {
   return len;
 }
 
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (std::size_t i = 0; i < s.size();) {
-    const char c = s[i];
-    switch (c) {
-      case '"': out += "\\\""; ++i; continue;
-      case '\\': out += "\\\\"; ++i; continue;
-      case '\n': out += "\\n"; ++i; continue;
-      case '\t': out += "\\t"; ++i; continue;
-      case '\r': out += "\\r"; ++i; continue;
-      default: break;
-    }
-    const unsigned char byte = static_cast<unsigned char>(c);
-    if (byte < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", byte);
-      out += buf;
-      ++i;
-    } else if (byte < 0x80) {
-      out += c;
-      ++i;
-    } else if (const std::size_t len = utf8_sequence_length(s, i); len > 0) {
-      if (len == 4) {
-        // Non-BMP codepoint: escape as a UTF-16 surrogate pair. Passing
-        // the 4-byte sequence raw is valid JSON, but consumers with
-        // BMP-only \u decoders (including older versions of our own
-        // parser) mangle it on a re-escape round trip.
-        const auto cont = [&](std::size_t k) {
-          return static_cast<unsigned>(s[i + k]) & 0x3fu;
-        };
-        const unsigned code =
-            ((static_cast<unsigned>(byte) & 0x07u) << 18) |
-            (cont(1) << 12) | (cont(2) << 6) | cont(3);
-        const unsigned v = code - 0x10000;
-        char buf[16];
-        std::snprintf(buf, sizeof buf, "\\u%04x\\u%04x",
-                      0xd800 + (v >> 10), 0xdc00 + (v & 0x3ff));
-        out += buf;
-      } else {
-        out += s.substr(i, len);
-      }
-      i += len;
-    } else {
-      // Invalid byte: escape as its Latin-1 codepoint so the document
-      // stays valid JSON and the byte value survives in the escape.
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", byte);
-      out += buf;
-      ++i;
-    }
-  }
-  out += '"';
+// A \uXXXX escape of `code` in lowercase hex, as "\\u%04x" prints it.
+void append_u_escape(std::string& out, unsigned code) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  const char escape[6] = {'\\', 'u', kHex[(code >> 12) & 0xf],
+                          kHex[(code >> 8) & 0xf], kHex[(code >> 4) & 0xf],
+                          kHex[code & 0xf]};
+  out.append(escape, sizeof escape);
+}
+
+// Bytes that need no escaping: printable ASCII other than '"' and '\\'.
+bool is_plain(unsigned char byte) {
+  return byte >= 0x20 && byte < 0x80 && byte != '"' && byte != '\\';
 }
 
 // Recursive-descent parser over a string_view cursor.
@@ -289,6 +249,73 @@ class Parser {
 
 }  // namespace
 
+void append_json_string(std::string& out, std::string_view s) {
+  out += '"';
+  std::size_t i = 0;
+  while (i < s.size()) {
+    // Copy the plain run up to the next byte that needs attention in one
+    // append; records are mostly paths and identifiers.
+    std::size_t run = i;
+    while (run < s.size() && is_plain(static_cast<unsigned char>(s[run]))) {
+      ++run;
+    }
+    out.append(s.data() + i, run - i);
+    i = run;
+    if (i == s.size()) break;
+
+    const unsigned char byte = static_cast<unsigned char>(s[i]);
+    switch (byte) {
+      case '"': out += "\\\""; ++i; continue;
+      case '\\': out += "\\\\"; ++i; continue;
+      case '\n': out += "\\n"; ++i; continue;
+      case '\t': out += "\\t"; ++i; continue;
+      case '\r': out += "\\r"; ++i; continue;
+      default: break;
+    }
+    if (byte < 0x20) {
+      append_u_escape(out, byte);
+      ++i;
+    } else if (const std::size_t len = utf8_sequence_length(s, i); len > 0) {
+      if (len == 4) {
+        // Non-BMP codepoint: escape as a UTF-16 surrogate pair. Passing
+        // the 4-byte sequence raw is valid JSON, but consumers with
+        // BMP-only \u decoders (including older versions of our own
+        // parser) mangle it on a re-escape round trip.
+        const auto cont = [&](std::size_t k) {
+          return static_cast<unsigned>(s[i + k]) & 0x3fu;
+        };
+        const unsigned code =
+            ((static_cast<unsigned>(byte) & 0x07u) << 18) |
+            (cont(1) << 12) | (cont(2) << 6) | cont(3);
+        const unsigned v = code - 0x10000;
+        append_u_escape(out, 0xd800 + (v >> 10));
+        append_u_escape(out, 0xdc00 + (v & 0x3ff));
+      } else {
+        out.append(s.data() + i, len);
+      }
+      i += len;
+    } else {
+      // Invalid byte: escape as its Latin-1 codepoint so the document
+      // stays valid JSON and the byte value survives in the escape.
+      append_u_escape(out, byte);
+      ++i;
+    }
+  }
+  out += '"';
+}
+
+void append_json_number(std::string& out, double n) {
+  char buf[32];
+  if (n == std::floor(n) && std::abs(n) < 1e15) {
+    const auto end = std::to_chars(buf, buf + sizeof buf,
+                                   static_cast<std::int64_t>(n)).ptr;
+    out.append(buf, end);
+  } else {
+    const int len = std::snprintf(buf, sizeof buf, "%.17g", n);
+    out.append(buf, static_cast<std::size_t>(len));
+  }
+}
+
 const Json& Json::operator[](std::string_view key) const {
   if (type_ == Type::kObject) {
     const auto it = object_.find(key);
@@ -328,17 +355,8 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
   switch (type_) {
     case Type::kNull: out += "null"; break;
     case Type::kBool: out += bool_ ? "true" : "false"; break;
-    case Type::kNumber: {
-      if (number_ == std::floor(number_) && std::abs(number_) < 1e15) {
-        out += std::to_string(static_cast<std::int64_t>(number_));
-      } else {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.17g", number_);
-        out += buf;
-      }
-      break;
-    }
-    case Type::kString: append_escaped(out, string_); break;
+    case Type::kNumber: append_json_number(out, number_); break;
+    case Type::kString: append_json_string(out, string_); break;
     case Type::kArray: {
       if (array_.empty()) { out += "[]"; break; }
       out += '[';
@@ -360,7 +378,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       std::size_t i = 0;
       for (const auto& [key, value] : object_) {
         if (indent > 0) out += pad;
-        append_escaped(out, key);
+        append_json_string(out, key);
         out += indent > 0 ? ": " : ":";
         value.dump_to(out, indent, depth + 1);
         if (++i < object_.size()) out += ',';

@@ -83,4 +83,14 @@ class Json {
   Object object_;
 };
 
+// The scalar writers Json::dump uses, for callers that serialize without
+// building a tree (report::RunRecord::append_jsonl). Each appends exactly
+// the bytes dump() gives for Json(s) / Json(n): one formatter, two paths.
+// Strings escape '"', '\\' and control bytes, write non-BMP code points as
+// surrogate pairs and invalid UTF-8 bytes as their Latin-1 \u escape.
+void append_json_string(std::string& out, std::string_view s);
+// Integral values of magnitude below 1e15 print as integers, the rest
+// as %.17g.
+void append_json_number(std::string& out, double n);
+
 }  // namespace feam::support

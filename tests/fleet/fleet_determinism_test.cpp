@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "eval/fleet.hpp"
 #include "fleet/generate.hpp"
 #include "fleet/manifest.hpp"
 #include "fleet/spec.hpp"
+#include "report/aggregate.hpp"
+#include "support/strings.hpp"
 
 namespace feam::fleet {
 namespace {
@@ -68,6 +71,48 @@ TEST(FleetDeterminism, ManifestAndMatrixIdenticalAtEveryJobCount) {
   const FleetRun uncached = run_once(1, false);
   EXPECT_EQ(uncached.records, jobs1.records);
   EXPECT_EQ(uncached.matrix, jobs1.matrix);
+}
+
+// The fleet writes its record stream straight to bytes and folds its
+// matrix in place; both must equal the reference paths at every job
+// count: each record's to_json() tree dump, and aggregate_records() over
+// a copy of the records.
+TEST(RecordBytes, FleetStreamAndMatrixMatchTheReferencePaths) {
+  FleetSpec spec;
+  spec.name = "bytes";
+  spec.sites = 10;
+  spec.workloads = 4;
+  spec.drift_rate = 0.25;
+
+  for (const int jobs : {1, 4}) {
+    Fleet fleet = generate_fleet(spec, 42);
+    eval::FleetRunOptions options;
+    options.jobs = jobs;
+    const auto result = eval::run_fleet(fleet, options);
+    ASSERT_EQ(result.pairs(), 40u) << "jobs=" << jobs;
+    ASSERT_GT(result.ready_pairs, 0u);
+    ASSERT_LT(result.ready_pairs, result.pairs());
+
+    const std::string jsonl = result.records_jsonl();
+    ASSERT_FALSE(jsonl.empty());
+    ASSERT_EQ(jsonl.back(), '\n');
+    const std::vector<std::string> lines =
+        support::split(jsonl.substr(0, jsonl.size() - 1), '\n');
+    ASSERT_EQ(lines.size(), result.records.size()) << "jobs=" << jobs;
+    std::size_t with_provenance = 0;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      EXPECT_EQ(lines[i], result.records[i].to_json().dump())
+          << "jobs=" << jobs << " record " << i;
+      if (!result.records[i].provenance.empty()) ++with_provenance;
+    }
+    EXPECT_GT(with_provenance, 0u);
+
+    std::vector<report::RunRecord> copy = result.records;
+    EXPECT_EQ(result.readiness_matrix(),
+              report::render_readiness_matrix(
+                  report::aggregate_records(std::move(copy))))
+        << "jobs=" << jobs;
+  }
 }
 
 }  // namespace

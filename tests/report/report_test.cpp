@@ -90,12 +90,27 @@ TEST(AggregateTest, IngestsEventJsonlAndCountsMalformedLines) {
 TEST(AggregateTest, FlattenMetricsExposesTheGateSurface) {
   std::vector<RunRecord> records;
   records.push_back(make_record("cg.B", "fir", true));
+  // 130 evidence items over three stages; the roll-up counts the 128 that
+  // serialize (sorted order: every bdc and edc item, 28 of the 30 tec).
+  for (int i = 0; i < 130; ++i) {
+    obs::Evidence e;
+    e.stage = i < 60 ? "bdc" : (i < 100 ? "edc" : "tec");
+    e.kind = "file";
+    e.subject = "/lib/" + std::to_string(1000 + i);
+    records.back().provenance.add(std::move(e));
+  }
   const auto metrics = flatten_metrics(aggregate_records(std::move(records)));
   EXPECT_EQ(metrics.at("matrix.records"), 1.0);
   EXPECT_EQ(metrics.at("matrix.ready"), 1.0);
   EXPECT_EQ(metrics.at("counter.tec.determinant_checks"), 4.0);
   EXPECT_EQ(metrics.at("hist.phase.target_ns.count"), 2.0);
   EXPECT_GT(metrics.at("hist.phase.target_ns.p99"), 0.0);
+  EXPECT_EQ(metrics.at("provenance.records"), 1.0);
+  EXPECT_EQ(metrics.at("provenance.items"), 128.0);
+  EXPECT_EQ(metrics.at("provenance.dropped"), 2.0);
+  EXPECT_EQ(metrics.at("provenance.stage.bdc"), 60.0);
+  EXPECT_EQ(metrics.at("provenance.stage.edc"), 40.0);
+  EXPECT_EQ(metrics.at("provenance.stage.tec"), 28.0);
 }
 
 TEST(AggregateTest, MergesProfilesAcrossRecordsWithSpans) {

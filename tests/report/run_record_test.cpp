@@ -213,5 +213,91 @@ TEST(RunRecordTest, FromJsonRejectsUnknownSchemaAndKeys) {
   EXPECT_FALSE(RunRecord::from_json(json).has_value());
 }
 
+// A record that sets every field, with the string and number shapes the
+// direct writer must escape and format exactly as the tree does.
+RunRecord every_field_record() {
+  RunRecord r;
+  r.command = "target";
+  r.binary = "app\x93\xff\xc0\xaf";         // invalid UTF-8
+  r.source_site = "in\x01" "di\ta\n\r\x1f";  // control characters
+  r.target_site = "fir\xf0\x9d\x84\x9e \xc3\xa9\xe2\x82\xac";  // non-BMP
+  r.mode = "extended \"quoted\" c:\\path\x7f";
+  r.exit_code = -2;
+  r.has_prediction = true;
+  r.ready = false;
+  r.determinants = {{"isa", true, true, ""},
+                    {"c_library", true, false, "needs GLIBC_2.12 \xed\xa0\x80"},
+                    {"mpi_stack", false, false, "skipped"},
+                    {"shared_libraries", false, false, "truncated \xe2\x82"}};
+  r.missing_libraries = 1'234'567'890'123'456;     // >= 1e15: %.17g path
+  r.resolved_libraries = (std::uint64_t{1} << 53) + 1;  // > 2^53
+  r.unresolved_libraries = 999'999'999'999'999;     // just under 1e15
+  r.bundle_bytes = 4096;
+
+  r.spans = {{1, 0, "feam.target_phase", 100, 10'000, 0, 4096, 12},
+             {2, 1, "tec.determinant.isa", 200, 3'000, 0},
+             {3, 0, "worker \"pool\"", 300, 5'000, 2, 64, 1}};
+  r.profile = obs::build_profile(to_profile_spans(r));
+  r.counters = {{"tec.determinant_checks", 4},
+                {"cache.hits{cache=bdc}", std::uint64_t{1} << 60},
+                {"zero", 0}};
+  obs::Histogram latency;
+  for (const std::uint64_t v :
+       {1ULL, 7ULL, 1000ULL, 123456ULL, 9'000'000'000ULL}) {
+    latency.record(v);
+  }
+  r.histograms = {{"phase.target_ns", latency.snapshot()},
+                  {"empty", obs::HistogramSnapshot{}}};
+
+  // Past the 128-item serialization cap, with over-long details.
+  for (int i = 0; i < 140; ++i) {
+    obs::Evidence e;
+    e.stage = i % 3 == 0 ? "bdc" : (i % 3 == 1 ? "resolver" : "tec.isa");
+    e.kind = "search";
+    e.site = "fir\xf0\x9f\x98\x80";
+    e.subject = "lib" + std::to_string(i) + ".so\x80";
+    e.detail = std::string(static_cast<std::size_t>(150 + i % 20), 'd') + "\"";
+    e.stamp = 0x0123456789abcdefULL * static_cast<std::uint64_t>(i + 1);
+    r.provenance.add(std::move(e));
+  }
+  return r;
+}
+
+TEST(RecordBytes, AppendJsonlIsTheTreeDumpForEveryField) {
+  const RunRecord full = every_field_record();
+  ASSERT_GT(full.provenance.distinct(), obs::EvidenceSet::kMaxItems);
+  ASSERT_TRUE(full.profile.has_value());
+
+  RunRecord sparse = full;  // no profile, provenance, counters, histograms
+  sparse.profile.reset();
+  sparse.provenance.clear();
+  sparse.counters.clear();
+  sparse.histograms.clear();
+  sparse.spans.clear();
+  sparse.determinants.clear();
+
+  const RunRecord empty;
+  const RunRecord* const records[] = {&full, &sparse, &empty};
+  for (const RunRecord* record : records) {
+    std::string line;
+    record->append_jsonl(line);
+    EXPECT_EQ(line, record->to_json().dump() + "\n");
+    const auto parsed = support::Json::parse(line);
+    ASSERT_TRUE(parsed.has_value()) << line;
+    EXPECT_TRUE(RunRecord::from_json(*parsed).has_value());
+  }
+
+  // Appending continues the buffer: two records make two lines.
+  std::string two = "prefix\n";
+  full.append_jsonl(two);
+  sparse.append_jsonl(two);
+  EXPECT_EQ(two, "prefix\n" + full.to_json().dump() + "\n" +
+                     sparse.to_json().dump() + "\n");
+
+  std::string provenance;
+  full.provenance.append_json(provenance);
+  EXPECT_EQ(provenance, full.provenance.to_json().dump());
+}
+
 }  // namespace
 }  // namespace feam::report

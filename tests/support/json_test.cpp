@@ -84,6 +84,50 @@ TEST(JsonDump, EscapesControlCharacters) {
   EXPECT_EQ(reparsed->as_string(), "a\x01z");
 }
 
+TEST(JsonDump, PlainRunsEndAtEveryEscapeBoundary) {
+  // The writer copies plain ASCII runs in bulk; each run below ends at a
+  // byte that needs attention (or is the last plain one), then resumes.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"plain run\"tail", R"("plain run\"tail")"},
+      {"plain run\\tail", R"("plain run\\tail")"},
+      {"plain run\x1ftail", R"("plain run\u001ftail")"},
+      {"plain run\x7ftail", "\"plain run\x7ftail\""},  // DEL stays raw
+      {"plain run\x80tail", R"("plain run\u0080tail")"},
+      {"plain run to the end", R"("plain run to the end")"},
+      {"", R"("")"},
+      {"\"", R"("\"")"},
+      {"\x1f\x1f", R"("\u001f\u001f")"},
+      {"ok\xc3\xa9ok\xf0\x9d\x84\x9e", "\"ok\xc3\xa9ok\\ud834\\udd1e\""},
+  };
+  for (const auto& [raw, expected] : cases) {
+    EXPECT_EQ(Json(raw).dump(), expected);
+    std::string appended = "x";
+    append_json_string(appended, raw);
+    EXPECT_EQ(appended, "x" + expected);
+    const auto reparsed = Json::parse(expected);
+    ASSERT_TRUE(reparsed.has_value()) << expected;
+  }
+}
+
+TEST(JsonDump, NumbersMatchTheTreeFormatter) {
+  const std::vector<std::pair<double, std::string>> cases = {
+      {0.0, "0"},
+      {-0.0, "0"},
+      {-42.0, "-42"},
+      {999999999999999.0, "999999999999999"},  // last integer below 1e15
+      {1e15, "1000000000000000"},              // %.17g from here on
+      {9007199254740993.0, "9007199254740992"},  // 2^53 + 1 rounds
+      {0.5, "0.5"},
+      {0.1, "0.10000000000000001"},
+  };
+  for (const auto& [value, expected] : cases) {
+    EXPECT_EQ(Json(value).dump(), expected);
+    std::string appended;
+    append_json_number(appended, value);
+    EXPECT_EQ(appended, expected);
+  }
+}
+
 TEST(JsonDump, QuotesAndBackslashesRoundTrip) {
   const std::string nasty = "say \"hi\" c:\\path\\to\nend\tok\r.";
   const auto reparsed = Json::parse(Json(nasty).dump());
