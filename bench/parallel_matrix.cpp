@@ -631,8 +631,8 @@ int main(int argc, char** argv) {
   };
 
   // Idle share of the pool: 1 − (worker busy time / worker capacity).
-  // The mean submit→start wait is useless here — a submit-all-upfront
-  // FIFO queue makes every task "wait" for most of the run by design —
+  // The mean queue wait (fan-out start → claim) is useless here — every
+  // index past the first `jobs` "waits" for most of the run by design —
   // so the gated number is how much of jobs × wall the workers spent
   // NOT running tasks.
   const obs::HistogramSnapshot task_run = hist_of("pool.task_run_ns");

@@ -93,15 +93,12 @@ support::Result<std::string> ldd(const site::Site& host, std::string_view path,
       return *memo;
     }
   }
-  const auto* injector = host.vfs.fault_injector();
-  const std::uint64_t faults_before =
-      injector != nullptr ? injector->fault_count() : 0;
+  const std::uint64_t faults_before = host.vfs.fault_count();
   support::Result<std::string> result = ldd_impl(host, path, verbose, cache);
   // A transcript produced under injected faults reflects a view of the
   // site that never really existed; memoizing it would poison later runs
   // (the site generations it is keyed on did not change).
-  const bool faulted =
-      injector != nullptr && injector->fault_count() != faults_before;
+  const bool faulted = host.vfs.fault_count() != faults_before;
   if (cache != nullptr && !faulted) {
     cache->store_ldd(host, path, verbose, result);
   }

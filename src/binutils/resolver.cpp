@@ -68,9 +68,7 @@ std::optional<std::string> search_dirs(const site::Site& host,
       return *memo;
     }
   }
-  const auto* injector = host.vfs.fault_injector();
-  const std::uint64_t faults_before =
-      injector != nullptr ? injector->fault_count() : 0;
+  const std::uint64_t faults_before = host.vfs.fault_count();
   std::optional<std::string> found;
   for (const auto& dir : dirs) {
     const std::string candidate = site::Vfs::join(dir, soname);
@@ -82,8 +80,7 @@ std::optional<std::string> search_dirs(const site::Site& host,
   }
   // A walk touched by fault injection saw a spurious view of the site;
   // memoizing it would poison later (unfaulted) lookups.
-  const bool faulted =
-      injector != nullptr && injector->fault_count() != faults_before;
+  const bool faulted = host.vfs.fault_count() != faults_before;
   if (cache != nullptr && !faulted) {
     cache->store_search(host, soname, bits, dirs, found);
   }

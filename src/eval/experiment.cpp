@@ -1,6 +1,7 @@
 #include "eval/experiment.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -9,9 +10,9 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "site/lease.hpp"
+#include "site/parallel_for.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 #include "toolchain/linker.hpp"
 #include "toolchain/testbed.hpp"
 
@@ -180,11 +181,9 @@ const support::Result<feam::SourcePhaseOutput>& Experiment::source_phase_for(
     source_meter_.hit(binary.home_site);
     return *entry->value;
   }
-  const auto* injector = home.vfs.fault_injector();
-  const std::uint64_t faults_before =
-      injector != nullptr ? injector->fault_count() : 0;
+  const std::uint64_t faults_before = home.vfs.fault_count();
   auto fresh = run_fresh();
-  if (injector != nullptr && injector->fault_count() != faults_before) {
+  if (home.vfs.fault_count() != faults_before) {
     // A faulted source phase describes a home site that never existed;
     // hand it to this caller (who attributes the pair) but never memoize
     // it — the next migration of this binary recomputes cleanly.
@@ -201,7 +200,7 @@ const support::Result<feam::SourcePhaseOutput>& Experiment::source_phase_for(
   return *entry->value;
 }
 
-std::optional<MigrationResult> Experiment::migrate_one(
+MigrationResult Experiment::migrate_one(
     const TestBinary& binary, Site& target) {
   Site& home = site(binary.home_site);
   obs::Span span("eval.migrate",
@@ -231,11 +230,8 @@ std::optional<MigrationResult> Experiment::migrate_one(
   // really existed. The snapshot/delta is exact under sequential runs; a
   // parallel faulted run can over-attribute (another worker's fault on a
   // shared site lands in the window), never under-attribute.
-  const auto fault_total = [&]() -> std::uint64_t {
-    const auto* h = home.vfs.fault_injector();
-    const auto* t = target.vfs.fault_injector();
-    return (h != nullptr ? h->fault_count() : 0) +
-           (t != nullptr ? t->fault_count() : 0);
+  const auto fault_total = [&] {
+    return home.vfs.fault_count() + target.vfs.fault_count();
   };
   const std::uint64_t faults_at_start = fault_total();
 
@@ -434,16 +430,16 @@ void Experiment::run() {
     }
   }
 
-  std::vector<std::optional<MigrationResult>> slots(jobs.size());
-  if (options_.jobs > 1 && jobs.size() > 1) {
-    // The job list is binary-major, so neighbouring jobs share a source
-    // binary (they would serialize on its source-phase memo entry) and
-    // often a target site lease. Submit round-robin across binaries so
-    // concurrently running workers touch distinct binaries and sites.
-    // Slot indices keep the original order, so the interleave is
-    // invisible in the results.
-    std::vector<std::size_t> order;
-    order.reserve(jobs.size());
+  // Claim order. Inline (jobs <= 1), jobs run in list order: the fault
+  // injector decides per operation counter, so a faulted sequential run
+  // replays bit-for-bit only in a fixed order. Workers claim round-robin
+  // across binaries instead: the list is binary-major, so neighbouring
+  // jobs share a source binary (they would serialize on its source-phase
+  // memo entry) and often a target site. Each job writes its own slot,
+  // so the interleave never shows in the results.
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (options_.jobs > 1) {
     std::vector<std::pair<std::size_t, std::size_t>> runs;  // [begin, end)
     for (std::size_t i = 0; i < jobs.size();) {
       std::size_t j = i;
@@ -451,30 +447,22 @@ void Experiment::run() {
       runs.emplace_back(i, j);
       i = j;
     }
+    std::size_t k = 0;
     for (bool more = true; more;) {
       more = false;
       for (auto& [begin, end] : runs) {
         if (begin == end) continue;
-        order.push_back(begin++);
+        order[k++] = begin++;
         more = true;
       }
     }
+  }
 
-    support::ThreadPool pool(options_.jobs, obs::pool_task_recorder());
-    for (const std::size_t i : order) {
-      pool.submit([this, &jobs, &slots, i] {
-        slots[i] = migrate_one(*jobs[i].binary, *jobs[i].target);
-      });
-    }
-    pool.wait();
-  } else {
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      slots[i] = migrate_one(*jobs[i].binary, *jobs[i].target);
-    }
-  }
-  for (auto& slot : slots) {
-    if (slot) results_.push_back(std::move(*slot));
-  }
+  results_.resize(jobs.size());
+  site::parallel_for(options_.jobs, jobs.size(), [&](std::size_t k) {
+    const Job& job = jobs[order[k]];
+    results_[order[k]] = migrate_one(*job.binary, *job.target);
+  });
   for (const auto& injector : injectors_) injector->set_enabled(false);
 
   // Each job removed its own resolution subtree; what remains of the

@@ -152,8 +152,7 @@ class Experiment {
  private:
   struct SourceMemoEntry;
 
-  std::optional<MigrationResult> migrate_one(const TestBinary& binary,
-                                             site::Site& target);
+  MigrationResult migrate_one(const TestBinary& binary, site::Site& target);
   // The source phase for `binary`, run in its guaranteed environment at
   // `home` (module loaded, then unloaded again) under home's lease.
   // Memoized per binary when caches are on — the paper's workflow runs it

@@ -52,12 +52,8 @@ BdcCache::BdcCache(HashFn hash) : hash_(std::move(hash)) {}
 
 support::Result<BinaryDescription> BdcCache::describe(const site::Site& s,
                                                       std::string_view path) {
-  const auto* injector = s.vfs.fault_injector();
-  const std::uint64_t faults_before =
-      injector != nullptr ? injector->fault_count() : 0;
-  const auto faulted = [&] {
-    return injector != nullptr && injector->fault_count() != faults_before;
-  };
+  const std::uint64_t faults_before = s.vfs.fault_count();
+  const auto faulted = [&] { return s.vfs.fault_count() != faults_before; };
   const auto blob = s.vfs.read_blob(path);
   if (!blob || faulted()) {
     // The component gives its usual diagnostic for a missing file. After a
@@ -114,16 +110,14 @@ EnvironmentDescription EdcMemo::discover(const site::Site& s) {
   // caller's site lease guarantees no concurrent scan of *this* site.
   // The capture frame tees the scan's evidence for the entry while still
   // forwarding it to the enclosing evaluation's provenance scope.
-  const auto* injector = s.vfs.fault_injector();
-  const std::uint64_t faults_before =
-      injector != nullptr ? injector->fault_count() : 0;
+  const std::uint64_t faults_before = s.vfs.fault_count();
   obs::EvidenceCapture capture;
   EnvironmentDescription description = Edc::discover(s);
   std::vector<obs::Evidence> evidence = capture.take();
   // A scan that hit injected faults saw a degraded view of an unchanged
   // site; memoizing it (description *or* evidence) would serve that view
   // to every later migration.
-  if (injector != nullptr && injector->fault_count() != faults_before) {
+  if (s.vfs.fault_count() != faults_before) {
     return description;
   }
   meter_.miss(s.name);

@@ -7,8 +7,8 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "site/lease.hpp"
+#include "site/parallel_for.hpp"
 #include "support/table.hpp"
-#include "support/thread_pool.hpp"
 
 namespace feam {
 
@@ -36,13 +36,13 @@ std::string SurveyReport::render() const {
 
 namespace {
 
-// Assesses one site. When other workers may touch the site concurrently,
-// the caller must lease the probe subtrees (binary path and the default
-// resolution root) and wrap the call in a shell session. The site is
-// restored exactly as found: migrated binary and resolution directories
-// removed (including the default resolution root, which may exist even
-// when the phase errored after partial resolution), loaded modules
-// reinstated.
+// Assesses one site under a lease on its probe subtrees (binary path and
+// the default resolution root) and a private shell session. The lease
+// coordinates with any concurrent migration writing the same subtree; the
+// session keeps module churn private, so the site's loaded modules are
+// untouched. The probe files are removed again — the migrated binary and
+// the resolution directories, including the default resolution root,
+// which may exist even when the phase errored after partial resolution.
 SurveyEntry assess_site(site::Site& s, const std::string& path,
                         const support::Blob& binary_bytes,
                         const SourcePhaseOutput* source,
@@ -50,7 +50,8 @@ SurveyEntry assess_site(site::Site& s, const std::string& path,
                         MigrationCaches* caches) {
   obs::Span site_span("survey.site", {{"site", s.name}});
   obs::counter("survey.sites_assessed").add();
-  const std::vector<std::string> modules_before = s.loaded_modules();
+  site::SubtreeLeases lease({{&s, path}, {&s, TecOptions{}.resolution_root}});
+  site::ShellSession shell(s);
   s.vfs.write_file(path, binary_bytes);
   auto result =
       run_target_phase(s, path, source, config, TecOptions{}, caches);
@@ -87,10 +88,6 @@ SurveyEntry assess_site(site::Site& s, const std::string& path,
   s.vfs.remove(path);
   for (const auto& dir : entry.prediction.resolution_dirs) s.vfs.remove(dir);
   s.vfs.remove(TecOptions{}.resolution_root);
-  if (s.loaded_modules() != modules_before) {
-    s.unload_all_modules();
-    for (const auto& name : modules_before) s.load_module(name);
-  }
   site_span.add_field("ready", entry.ready ? "true" : "false");
   obs::emit(obs::Level::kInfo, "survey.verdict",
             entry.site_name + ": " + (entry.ready ? "ready" : "not ready"),
@@ -129,29 +126,10 @@ SurveyReport survey_sites(std::span<site::Site* const> sites,
   // Input-order result slots: the report is independent of completion
   // order, so every job count produces the same ranking.
   std::vector<SurveyEntry> entries(sites.size());
-  if (options.jobs > 1 && sites.size() > 1) {
-    support::ThreadPool pool(options.jobs, obs::pool_task_recorder());
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-      pool.submit([&, i] {
-        site::Site& s = *sites[i];
-        // Survey fans out across *distinct* sites, so these leases are
-        // uncontended within one survey; they exist to coordinate with any
-        // concurrent migration writing the same probe subtree, and the
-        // shell session keeps module churn private to this worker.
-        site::SubtreeLeases lease(
-            {{&s, path}, {&s, TecOptions{}.resolution_root}});
-        site::ShellSession shell(s);
-        entries[i] = assess_site(s, path, binary_bytes, source, config,
-                                 options.caches);
-      });
-    }
-    pool.wait();
-  } else {
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-      entries[i] = assess_site(*sites[i], path, binary_bytes, source, config,
-                               options.caches);
-    }
-  }
+  site::parallel_for(options.jobs, sites.size(), [&](std::size_t i) {
+    entries[i] = assess_site(*sites[i], path, binary_bytes, source, config,
+                             options.caches);
+  });
   report.entries = std::move(entries);
 
   // Rank: ready first (fewer copies to ship first), then blocked sites

@@ -8,10 +8,12 @@
 // (fewest resolved copies first — less to ship), then not-ready sites
 // grouped by the determinant that blocked them.
 //
-// Sites are independent, so with `SurveyOptions::jobs > 1` the assessments
-// fan out across a thread pool — each worker holds its site's lease for
-// the whole assessment, and results land in input-order slots, so the
-// report is identical at any job count.
+// Sites are independent, so the assessments fan out through
+// site::parallel_for over `SurveyOptions::jobs` workers. At every job
+// count, each assessment leases its probe subtrees (the binary path and
+// the default resolution root) and runs in a private shell session;
+// results land in input-order slots, so the report is identical at any
+// job count.
 #pragma once
 
 #include <span>
@@ -50,9 +52,10 @@ struct SurveyOptions {
 // Surveys `sites` for the binary `binary_bytes` (written to each site as
 // /home/user/<binary_name>; every site shares the one buffer). `source`
 // enables the extended prediction and resolution. Sites are evaluated
-// independently; each is restored exactly as found — migrated binary
-// removed, resolution directories removed, and the module load state
-// reinstated — even when the target phase errors.
+// independently; each is left exactly as found — migrated binary and
+// resolution directories removed, module load state never touched (the
+// assessment runs in a private shell session) — even when the target
+// phase errors.
 SurveyReport survey_sites(std::span<site::Site* const> sites,
                           std::string_view binary_name,
                           const support::Blob& binary_bytes,

@@ -462,16 +462,4 @@ void CacheMeter::retain(std::uint64_t bytes) {
   bytes_gauge_.add(bytes);
 }
 
-std::function<void(std::uint64_t, std::uint64_t)> pool_task_recorder() {
-  // References into the registry are stable for its lifetime, so resolve
-  // the names once instead of on every task completion.
-  Histogram& queue_wait = histogram("pool.queue_wait_ns");
-  Histogram& task_run = histogram("pool.task_run_ns");
-  return [&queue_wait, &task_run](std::uint64_t queue_wait_ns,
-                                  std::uint64_t run_ns) {
-    queue_wait.record(queue_wait_ns);
-    task_run.record(run_ns);
-  };
-}
-
 }  // namespace feam::obs

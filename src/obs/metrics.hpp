@@ -15,7 +15,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -308,13 +307,6 @@ class CacheMeter {
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> bytes_{0};
 };
-
-// Ready-made support::ThreadPool::TaskObserver: records each task's
-// submit→start queue wait into "pool.queue_wait_ns" and its run time into
-// "pool.task_run_ns". Injected by pool owners because support (where the
-// pool lives) cannot link obs.
-std::function<void(std::uint64_t queue_wait_ns, std::uint64_t run_ns)>
-pool_task_recorder();
 
 // RAII: records obs::now_ns() elapsed between construction and destruction
 // into a histogram. The standard way to time a scope on the span clock.

@@ -35,7 +35,6 @@ struct Site::SubtreeTable {
 
 Site::Site()
     : lease_id_(next_lease_id()),
-      lease_mutex_(std::make_unique<std::mutex>()),
       subtree_table_(std::make_unique<SubtreeTable>()) {}
 
 Site::~Site() = default;

@@ -176,11 +176,6 @@ class Site {
   // orders lock acquisition by it (lower id first) for deadlock freedom.
   std::uint64_t lease_id() const { return lease_id_; }
 
-  // Mutex a SiteLease holds for the duration of any mutating sequence.
-  // Held behind a unique_ptr so Site stays movable (tests return Sites by
-  // value); the mutex object itself never moves.
-  std::mutex& lease_mutex() const { return *lease_mutex_; }
-
   // Lease mutex for one subtree of this site, created on first use and
   // stable for the Site's lifetime. `prefix` is a path prefix (usually a
   // per-job artifact root); two workers lease the same mutex iff they name
@@ -201,7 +196,6 @@ class Site {
   std::vector<std::string> loaded_;
   std::uint64_t module_generation_ = 0;
   std::uint64_t lease_id_;
-  std::unique_ptr<std::mutex> lease_mutex_;
   // Subtree lease table: mutexes live in a node-stable map behind a
   // unique_ptr (Site stays movable; the mutex objects never move).
   struct SubtreeTable;

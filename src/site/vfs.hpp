@@ -145,6 +145,11 @@ class Vfs {
     fault_ = std::move(injector);
   }
   FaultInjector* fault_injector() const { return fault_.get(); }
+  // Faults injected so far; 0 when no injector is set. Callers snapshot
+  // it around an operation and memoize nothing when it moved.
+  std::uint64_t fault_count() const {
+    return fault_ != nullptr ? fault_->fault_count() : 0;
+  }
 
   static std::string basename(std::string_view path);
   static std::string dirname(std::string_view path);

@@ -1,5 +1,6 @@
-// Site leases and the state counters the caches key on: mutual exclusion,
-// pair-lease ordering, generation bumps, and VFS write stamps.
+// Site leases and the state counters the caches key on: subtree-lease
+// exclusion, ordering and wait accounting, shell sessions, generation
+// bumps, and VFS write stamps.
 #include "site/lease.hpp"
 
 #include <gtest/gtest.h>
@@ -22,56 +23,12 @@ TEST(SiteLease, IdsAreDistinctPerSite) {
   EXPECT_NE(a->lease_id(), b->lease_id());
 }
 
-TEST(SiteLease, MutuallyExcludesWorkers) {
-  auto s = toolchain::make_site("india");
-  std::atomic<int> inside{0};
-  std::atomic<bool> overlapped{false};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&] {
-      for (int i = 0; i < 500; ++i) {
-        SiteLease lease(*s);
-        if (inside.fetch_add(1, std::memory_order_acq_rel) != 0) {
-          overlapped.store(true, std::memory_order_relaxed);
-        }
-        inside.fetch_sub(1, std::memory_order_acq_rel);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_FALSE(overlapped.load());
-}
-
-TEST(SitePairLease, AcquiresInLeaseIdOrderFromEitherArgumentOrder) {
-  // Two threads repeatedly lock the same pair in opposite argument order.
-  // Without the lower-lease_id-first discipline this deadlocks; with it,
-  // the loop terminates.
-  auto a = toolchain::make_site("india");
-  auto b = toolchain::make_site("fir");
-  std::atomic<int> done{0};
-  std::thread t1([&] {
-    for (int i = 0; i < 500; ++i) {
-      SitePairLease lease(*a, *b);
-    }
-    done.fetch_add(1);
-  });
-  std::thread t2([&] {
-    for (int i = 0; i < 500; ++i) {
-      SitePairLease lease(*b, *a);
-    }
-    done.fetch_add(1);
-  });
-  t1.join();
-  t2.join();
-  EXPECT_EQ(done.load(), 2);
-}
-
 TEST(SiteLease, UncontendedAcquireRecordsZeroWait) {
   auto s = toolchain::make_site("india");
   const auto global_before = obs::histogram("lease.wait_ns").snapshot();
   const auto site_before =
       obs::histogram("lease.wait_ns", obs::Labels{.site = s->name}).snapshot();
-  { SiteLease lease(*s); }
+  { SubtreeLeases lease({{s.get(), "/home/user/job"}}); }
   const auto global_after = obs::histogram("lease.wait_ns").snapshot();
   const auto site_after =
       obs::histogram("lease.wait_ns", obs::Labels{.site = s->name}).snapshot();
@@ -88,14 +45,15 @@ TEST(SiteLease, ContendedAcquireRecordsTheBlockingWait) {
       obs::histogram("lease.wait_ns", obs::Labels{.site = s->name}).snapshot();
   std::atomic<bool> holder_ready{false};
   std::thread holder([&] {
-    SiteLease lease(*s);
+    SubtreeLeases lease({{s.get(), "/home/user/job"}});
     holder_ready.store(true, std::memory_order_release);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   });
   while (!holder_ready.load(std::memory_order_acquire)) {
     std::this_thread::yield();
   }
-  { SiteLease lease(*s); }  // blocks until the holder releases
+  // Blocks until the holder releases.
+  { SubtreeLeases lease({{s.get(), "/home/user/job"}}); }
   holder.join();
   const auto after =
       obs::histogram("lease.wait_ns", obs::Labels{.site = s->name}).snapshot();
