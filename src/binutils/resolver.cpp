@@ -152,6 +152,8 @@ Resolution resolve_libraries(const site::Site& host, std::string_view binary_pat
   for (const auto& dir : root->rpath()) rpath.emplace_back(dir);
   const std::vector<std::string> dirs =
       search_order(host, bits, rpath, extra_search_dirs);
+  out.searched_scratch =
+      std::any_of(dirs.begin(), dirs.end(), site::Vfs::scratch_path);
 
   // BFS over NEEDED closure, tracking per-name depth and a parent chain so
   // cycles and runaway depths are *detected* (the dedup set alone would

@@ -53,6 +53,9 @@ struct Resolution {
   // Resolution of the rest of the closure still completes.
   std::optional<support::Error> dep_error;
   std::vector<std::string> dep_cycles;  // rendered "libA -> libB -> libA"
+  // Some search directory (extra, rpath or LD_LIBRARY_PATH) sits under a
+  // scratch prefix, whose writes Site::discovery_fingerprint() ignores.
+  bool searched_scratch = false;
 
   bool complete() const;
   std::vector<std::string> missing() const;

@@ -1,11 +1,13 @@
 #include "feam/caches.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "feam/bdc.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace feam {
 
@@ -130,6 +132,59 @@ EnvironmentDescription EdcMemo::discover(const site::Site& s) {
                   obs::evidence_bytes(entry->evidence));
   }
   return description;
+}
+
+std::optional<toolchain::RunResult> UsabilityMemo::run(
+    const site::Site& s, const Hello& hello, std::string_view path, int ranks,
+    int attempts, const Fill& fill) {
+  // The fingerprint does not see scratch writes, so a library search along
+  // a scratch LD_LIBRARY_PATH entry is not keyed by anything here.
+  const auto ld_path = s.env.ld_library_path();
+  if (std::any_of(ld_path.begin(), ld_path.end(), site::Vfs::scratch_path)) {
+    return fill(nullptr);
+  }
+  const std::uint64_t lease_id = s.lease_id();
+  const std::uint64_t fingerprint = s.discovery_fingerprint();
+  std::uint64_t key =
+      support::fnv1a_mix(support::fnv1a_mix(support::kFnvBasis, lease_id),
+                         fingerprint);
+  key = support::fnv1a_mix(key, hello.name);
+  if (!hello.content.empty()) key = support::fnv1a_mix(key, hello.content.hash());
+  const auto matches = [&](const Entry& e) {
+    return e.lease_id == lease_id && e.fingerprint == fingerprint &&
+           e.hello.name == hello.name && e.hello.content == hello.content;
+  };
+  if (const Entry* entry = entries_.find_if(key, matches)) {
+    meter_.hit(entry->site_hits);
+    obs::replay_evidence(entry->evidence);
+    return toolchain::replay_with_retries(s, path, ranks, entry->plan,
+                                          attempts);
+  }
+  meter_.miss(s.name);
+  const std::uint64_t faults_before = s.vfs.fault_count();
+  obs::EvidenceCapture capture;
+  toolchain::LaunchPlan plan;
+  std::optional<toolchain::RunResult> result = fill(&plan);
+  // A fill that saw injected faults planned against a degraded view; one
+  // that searched scratch directories or whose answer names the scratch
+  // path depends on more than the key.
+  if (!result || s.vfs.fault_count() != faults_before ||
+      plan.searched_scratch ||
+      (plan.outcome && support::contains(plan.outcome->detail, path))) {
+    return result;
+  }
+  const auto [entry, inserted] = entries_.get_or_insert_if(key, matches, [&] {
+    return Entry{lease_id,        fingerprint,      hello,
+                 std::move(plan), capture.take(), meter_.site_hits(s.name)};
+  });
+  if (inserted) {
+    const auto& outcome = entry->plan.outcome;
+    meter_.retain(sizeof(Entry) + entry->hello.name.size() +
+                  (outcome ? outcome->detail.size() + outcome->output.size()
+                           : 0) +
+                  obs::evidence_bytes(entry->evidence));
+  }
+  return result;
 }
 
 }  // namespace feam

@@ -118,12 +118,15 @@ std::vector<std::pair<std::string, std::string>> activate_stack(
 
 // ----------------------------------------------------- hello-world tests
 
+// Launch attempts per hello-world test.
+constexpr int kHelloAttempts = 3;
+
 // Compiles "hello world" natively at the target with the candidate stack
 // and runs it. nullopt when native compilation is not possible there.
 std::optional<bool> native_hello_test(site::Site& s,
                                       const DiscoveredStack& stack, int ranks,
                                       std::string_view nonce,
-                                      binutils::ResolverCache* rc) {
+                                      MigrationCaches* caches) {
   obs::Span span("tec.usability.native", {{"stack", stack.id}});
   obs::counter("tec.usability_tests").add();
   const site::MpiStackInstall* install = nullptr;
@@ -134,13 +137,29 @@ std::optional<bool> native_hello_test(site::Site& s,
   // The nonce keeps the scratch path unique per evaluated binary so the
   // fault model treats each evaluation as a distinct job placement.
   const std::string path = "/tmp/feam_hw_native_c." + std::string(nonce);
-  const auto compiled = toolchain::compile_mpi_program(
-      s, toolchain::mpi_hello_world(toolchain::Language::kC), *install, path);
-  if (!compiled.ok()) return std::nullopt;
-  const auto run = toolchain::mpiexec_with_retries(s, compiled.value(), ranks,
-                                                   {}, 3, rc);
-  s.vfs.remove(path);
-  return run.success();
+  const toolchain::ProgramSource program =
+      toolchain::mpi_hello_world(toolchain::Language::kC);
+  binutils::ResolverCache* rc = caches != nullptr ? &caches->resolver : nullptr;
+  const auto fill = [&](toolchain::LaunchPlan* plan)
+      -> std::optional<toolchain::RunResult> {
+    const auto compiled =
+        toolchain::compile_mpi_program(s, program, *install, path);
+    if (!compiled.ok()) return std::nullopt;
+    auto result = toolchain::mpiexec_with_retries(
+        s, compiled.value(), ranks, {}, kHelloAttempts, rc, plan);
+    s.vfs.remove(path);
+    return result;
+  };
+  // mpi_hello_world() is a function of the language alone, which its name
+  // encodes.
+  const auto run =
+      caches != nullptr
+          ? caches->usability.run(
+                s, {"native " + install->prefix + " " + program.name, {}},
+                path, ranks, kHelloAttempts, fill)
+          : fill(nullptr);
+  if (!run) return std::nullopt;
+  return run->success();
 }
 
 // Runs the bundle's guaranteed-environment hello worlds under the active
@@ -149,9 +168,10 @@ std::optional<bool> native_hello_test(site::Site& s,
 bool bundle_hello_test(site::Site& s, const Bundle& bundle, bool app_is_fortran,
                        const std::vector<std::string>& extra_dirs, int ranks,
                        std::string_view nonce, std::vector<std::string>& log,
-                       binutils::ResolverCache* rc) {
+                       MigrationCaches* caches) {
   obs::Span span("tec.usability.bundle_hello");
   obs::counter("tec.usability_tests").add();
+  binutils::ResolverCache* rc = caches != nullptr ? &caches->resolver : nullptr;
   bool all_ok = true;
   for (const auto& hw : bundle.hello_worlds) {
     if (hw.language == toolchain::Language::kFortran && !app_is_fortran) {
@@ -159,10 +179,21 @@ bool bundle_hello_test(site::Site& s, const Bundle& bundle, bool app_is_fortran,
     }
     const std::string path =
         "/tmp/feam_hw_src_" + hw.name + "." + std::string(nonce);
-    s.vfs.write_file(path, hw.content);
+    const auto fill = [&](toolchain::LaunchPlan* plan)
+        -> std::optional<toolchain::RunResult> {
+      s.vfs.write_file(path, hw.content);
+      auto result = toolchain::mpiexec_with_retries(
+          s, path, ranks, extra_dirs, kHelloAttempts, rc, plan);
+      s.vfs.remove(path);
+      return result;
+    };
+    // A resolution directory's name embeds the application's basename, so
+    // lookups of hellos run with one would never hit: they skip the memo.
     const auto run =
-        toolchain::mpiexec_with_retries(s, path, ranks, extra_dirs, 3, rc);
-    s.vfs.remove(path);
+        *(caches != nullptr && extra_dirs.empty()
+              ? caches->usability.run(s, {"bundle " + hw.name, hw.content},
+                                      path, ranks, kHelloAttempts, fill)
+              : fill(nullptr));
     if (!run.success()) {
       log.push_back("guaranteed-environment hello world '" + hw.name +
                     "' failed: " + run.detail);
@@ -616,7 +647,7 @@ Prediction Tec::evaluate(site::Site& target, const BinaryDescription& app,
         const auto native =
             opts.run_usability_tests
                 ? native_hello_test(target, *candidate, opts.hello_world_ranks,
-                                    nonce, rc)
+                                    nonce, caches)
                 : std::optional<bool>(true);
         if (native.has_value() && !*native) {
           p.log.push_back("stack " + candidate->id +
@@ -640,7 +671,8 @@ Prediction Tec::evaluate(site::Site& target, const BinaryDescription& app,
           std::vector<std::string> extra;
           if (!outcome.dir.empty()) extra.push_back(outcome.dir);
           if (!bundle_hello_test(target, *bundle, app_is_fortran, extra,
-                                 opts.hello_world_ranks, nonce, p.log, rc)) {
+                                 opts.hello_world_ranks, nonce, p.log,
+                                 caches)) {
             if (best_stage < Stage::kHelloIncompatible) {
               best_stage = Stage::kHelloIncompatible;
               best_detail = "stack " + candidate->id +

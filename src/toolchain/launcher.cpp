@@ -251,23 +251,31 @@ RunResult run_serial_impl(const site::Site& host, std::string_view binary_path,
   return {RunStatus::kSuccess, "", "ok"};
 }
 
-RunResult mpiexec_impl(const site::Site& host, std::string_view binary_path,
-                       int ranks,
-                       const std::vector<std::string>& extra_lib_dirs,
-                       int attempt, binutils::ResolverCache* cache) {
+// The deterministic half of one mpiexec: stack selection, the loader, the
+// re-read and the ABI check. A function of the site's state and the
+// binary's bytes; only draw() below depends on the attempt.
+LaunchPlan plan_mpiexec(const site::Site& host, std::string_view binary_path,
+                        const std::vector<std::string>& extra_lib_dirs,
+                        binutils::ResolverCache* cache) {
   const site::MpiStackInstall* stack = host.selected_stack();
   if (stack == nullptr) {
-    return {RunStatus::kNoMpiStackSelected, "mpiexec: command not found", ""};
+    return {RunResult{RunStatus::kNoMpiStackSelected,
+                      "mpiexec: command not found", ""}};
   }
   if (!stack->functional) {
-    return {RunStatus::kStackNotFunctional,
-            "mpiexec: unable to contact MPI daemon; aborting (" +
-                stack->slug() + ")",
-            ""};
+    return {RunResult{RunStatus::kStackNotFunctional,
+                      "mpiexec: unable to contact MPI daemon; aborting (" +
+                          stack->slug() + ")",
+                      ""}};
   }
 
   const LoadReport report = load_binary(host, binary_path, extra_lib_dirs, cache);
-  if (report.status != LoadStatus::kOk) return from_load_report(report);
+  LaunchPlan plan;
+  plan.searched_scratch = report.resolution.searched_scratch;
+  if (report.status != LoadStatus::kOk) {
+    plan.outcome = from_load_report(report);
+    return plan;
+  }
 
   // Re-read after load_binary: a faulted short read can fail to parse.
   const auto data = host.vfs.read_blob(binary_path);
@@ -275,26 +283,61 @@ RunResult mpiexec_impl(const site::Site& host, std::string_view binary_path,
   const elf::ElfFile* binary_view =
       data ? binutils::parse_elf(*data, cache, local) : nullptr;
   if (binary_view == nullptr) {
-    return {RunStatus::kSystemError,
-            std::string(binary_path) + ": Input/output error", ""};
+    plan.outcome = RunResult{RunStatus::kSystemError,
+                             std::string(binary_path) + ": Input/output error",
+                             ""};
+    return plan;
   }
-  const elf::ElfFile& binary = *binary_view;
+  plan.outcome = check_abi(host, *binary_view, report.resolution, cache);
+  plan.text_size = data->size();
+  return plan;
+}
 
-  if (auto abi_failure = check_abi(host, binary, report.resolution, cache)) {
-    return *abi_failure;
-  }
-
-  const std::uint64_t text_size = data->size();
-  if (auto fault = persistent_fault(host, binary_path, text_size)) {
+// The per-attempt half: the placement's persistent and transient fault
+// draws on (site, path, attempt), applied to a plan that proceeds.
+RunResult draw(const site::Site& host, std::string_view binary_path, int ranks,
+               const LaunchPlan& plan, int attempt) {
+  if (plan.outcome) return *plan.outcome;
+  if (auto fault = persistent_fault(host, binary_path, plan.text_size)) {
     return *fault;
   }
   if (transient_fault(host, binary_path, attempt)) {
     return {RunStatus::kSystemError,
             "mpiexec: transient daemon spawn failure", ""};
   }
-
   return {RunStatus::kSuccess, "",
           "Hello world from " + std::to_string(ranks) + " ranks"};
+}
+
+// One mpiexec invocation: its timer, call counter and event around
+// draw(plan()). `plan` either plans afresh or hands back a memoized plan.
+template <typename PlanFn>
+RunResult launch(const site::Site& host, std::string_view binary_path,
+                 int ranks, int attempt, PlanFn&& plan) {
+  obs::ScopedTimer timer(obs::histogram("launcher.mpiexec_ns"));
+  obs::counter("launcher.mpiexec_calls").add();
+  RunResult result = draw(host, binary_path, ranks, plan(), attempt);
+  emit_run_event("launcher.mpiexec", host, binary_path, ranks, result);
+  return result;
+}
+
+template <typename PlanFn>
+RunResult launch_with_retries(const site::Site& host,
+                              std::string_view binary_path, int ranks,
+                              int attempts, PlanFn&& plan) {
+  RunResult last;
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    if (attempt > 0) obs::counter("launcher.retries").add();
+    last = launch(host, binary_path, ranks, attempt, plan);
+    if (last.success()) return last;
+    // Only system errors are worth retrying; deterministic failures
+    // (missing libraries, version errors, ABI breaks) never change.
+    if (last.status != RunStatus::kSystemError &&
+        last.status != RunStatus::kTimeout) {
+      return last;
+    }
+  }
+  return last;
 }
 
 }  // namespace
@@ -311,32 +354,32 @@ RunResult run_serial(const site::Site& host, std::string_view binary_path,
 RunResult mpiexec(const site::Site& host, std::string_view binary_path,
                   int ranks, const std::vector<std::string>& extra_lib_dirs,
                   int attempt, binutils::ResolverCache* cache) {
-  obs::ScopedTimer timer(obs::histogram("launcher.mpiexec_ns"));
-  obs::counter("launcher.mpiexec_calls").add();
-  RunResult result =
-      mpiexec_impl(host, binary_path, ranks, extra_lib_dirs, attempt, cache);
-  emit_run_event("launcher.mpiexec", host, binary_path, ranks, result);
-  return result;
+  return launch(host, binary_path, ranks, attempt, [&] {
+    return plan_mpiexec(host, binary_path, extra_lib_dirs, cache);
+  });
 }
 
 RunResult mpiexec_with_retries(const site::Site& host,
                                std::string_view binary_path, int ranks,
                                const std::vector<std::string>& extra_lib_dirs,
-                               int attempts,
-                               binutils::ResolverCache* cache) {
-  RunResult last;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) obs::counter("launcher.retries").add();
-    last = mpiexec(host, binary_path, ranks, extra_lib_dirs, attempt, cache);
-    if (last.success()) return last;
-    // Only system errors are worth retrying; deterministic failures
-    // (missing libraries, version errors, ABI breaks) never change.
-    if (last.status != RunStatus::kSystemError &&
-        last.status != RunStatus::kTimeout) {
-      return last;
-    }
-  }
-  return last;
+                               int attempts, binutils::ResolverCache* cache,
+                               LaunchPlan* first_plan) {
+  // Every attempt plans afresh: under fault injection each attempt's reads
+  // draw their own faults, exactly as a real retry re-executes.
+  bool first = true;
+  return launch_with_retries(host, binary_path, ranks, attempts, [&] {
+    LaunchPlan plan = plan_mpiexec(host, binary_path, extra_lib_dirs, cache);
+    if (first && first_plan != nullptr) *first_plan = plan;
+    first = false;
+    return plan;
+  });
+}
+
+RunResult replay_with_retries(const site::Site& host,
+                              std::string_view binary_path, int ranks,
+                              const LaunchPlan& plan, int attempts) {
+  return launch_with_retries(host, binary_path, ranks, attempts,
+                             [&]() -> const LaunchPlan& { return plan; });
 }
 
 }  // namespace feam::toolchain

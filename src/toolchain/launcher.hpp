@@ -11,6 +11,8 @@
 //     policy), both drawn from the site's seeded fault model.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,13 +57,35 @@ RunResult run_serial(const site::Site& host, std::string_view binary_path,
                      const std::vector<std::string>& extra_lib_dirs = {},
                      binutils::ResolverCache* cache = nullptr);
 
+// What one mpiexec decides before its fault draw: stack selection, the
+// loader, and the run-time ABI check. A pure function of the site's state
+// and the binary's bytes. The per-attempt part (the persistent and
+// transient fault draws on site, path and attempt) is applied on top.
+struct LaunchPlan {
+  // Set when the launch ends without reaching the fault draw.
+  std::optional<RunResult> outcome;
+  std::uint64_t text_size = 0;  // the persistent-fault draw's input
+  // The loader searched a directory under a scratch prefix (see
+  // binutils::Resolution::searched_scratch).
+  bool searched_scratch = false;
+};
+
 // The paper's policy: a binary is recorded as failing only after five
 // spaced execution attempts (Section VI.C). Transient system errors are
-// absorbed; persistent ones are not.
+// absorbed; persistent ones are not. Every attempt plans afresh; a
+// non-null `first_plan` receives the first attempt's plan.
 RunResult mpiexec_with_retries(const site::Site& host,
                                std::string_view binary_path, int ranks,
                                const std::vector<std::string>& extra_lib_dirs = {},
                                int attempts = 5,
-                               binutils::ResolverCache* cache = nullptr);
+                               binutils::ResolverCache* cache = nullptr,
+                               LaunchPlan* first_plan = nullptr);
+
+// The same retry policy over a plan captured earlier for identical site
+// state and binary bytes: only the fault draws run, for `binary_path`.
+// Counters and events tick per attempt as in mpiexec_with_retries.
+RunResult replay_with_retries(const site::Site& host,
+                              std::string_view binary_path, int ranks,
+                              const LaunchPlan& plan, int attempts);
 
 }  // namespace feam::toolchain

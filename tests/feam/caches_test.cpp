@@ -472,6 +472,8 @@ TEST(CacheMeterIntegration, LabeledSeriesMatchGettersAfterPooledRun) {
              {caches.resolver.ldd_hits(), caches.resolver.ldd_misses()}},
             {"resolver.parse",
              {caches.resolver.parse_hits(), caches.resolver.parse_misses()}},
+            {"usability",
+             {caches.usability.hits(), caches.usability.misses()}},
             {"source",
              {experiment.source_phase_hits(),
               experiment.source_phase_misses()}},
