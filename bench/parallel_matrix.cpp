@@ -20,13 +20,14 @@
 // A fourth, profiled leg reruns the pooled configuration with the span
 // collector and metric registry live (the contention-aware profiling
 // claim): results must stay bit-identical to the pooled leg, profiling
-// overhead must stay under 2% of an uninstrumented reference run, and the
-// contention metrics the profile exposes — pool idle share, lease waits,
-// cache hit rates — are gated against the baseline. All three overhead
-// gates (legs 4/5/6) compare best-of-three *process CPU time*: wall
-// times are printed for context, but wall minima swing several percent
-// on a shared runner, which would make a 1-2% gate flake on noise the
-// instrumentation did not cause.
+// must cost under kMaxProfileNsPerSpan of CPU per recorded span against
+// an uninstrumented reference run, and the contention metrics the
+// profile exposes — pool idle share, lease waits, cache hit rates — are
+// gated against the baseline. All three overhead gates (legs 4/5/6)
+// compare best-of-three *process CPU time*: wall times are printed for
+// context, but wall minima swing several percent on a shared runner,
+// which would make a 1-2% gate flake on noise the instrumentation did
+// not cause.
 //
 // A fifth, sampled leg reruns the pooled configuration with the
 // TimeseriesSampler live (the live-telemetry claim): a background thread
@@ -59,9 +60,10 @@
 // uninstrumented reference run back to back (interleaved order across
 // three rounds, best-of-three each) rather than against leg 2. The
 // overhead gates themselves bound instrumentation cost per unit of
-// work (cpu-ms per sample, ns per tracked allocation) rather than as a
-// ratio of the reference: the ratio's denominator is the workload, so
-// every hot-path win inflates it without the instrumentation changing.
+// work (ns per span, cpu-ms per sample, ns per tracked allocation)
+// rather than as a ratio of the reference: the ratio's denominator is
+// the workload, so every hot-path win inflates it without the
+// instrumentation changing.
 //
 // Flags:
 //   --jobs N           worker threads for the pooled leg (default 4)
@@ -75,7 +77,9 @@
 //   --folded F         write collapsed-stack flamegraph text to F
 //   --svg F            write a self-contained flamegraph SVG to F
 //   --timeseries-out F       write the sampled leg's best-run stream to F
-//   --timeseries-interval MS sampler tick for the sampled leg (default 25)
+//   --timeseries-interval MS sampler tick for the sampled leg (default 10:
+//                            the pooled run takes about 200 ms on 4 cores,
+//                            and the stream needs 10 samples or more)
 //   --mem-folded F     write byte-weighted collapsed stacks to F
 //   --mem-svg F        write the allocation flamegraph SVG to F
 #include <algorithm>
@@ -105,6 +109,14 @@ using namespace feam;
 using namespace feam::eval;
 
 namespace {
+
+// The profiled leg's ceiling on CPU per recorded span. It replaces the
+// old "< 2% of the reference run's CPU" ratio at no looser a level: the
+// fastest reference run measured, 329 cpu-ms over 13872 spans (Release,
+// jobs 8, shared 4-core host), gives 0.02 x 329 ms / 13872 = 474 ns.
+// Unlike the ratio, it does not tighten each time the workload under the
+// spans gets faster.
+constexpr double kMaxProfileNsPerSpan = 470.0;
 
 // Stable serialization of every migration outcome; equal strings mean the
 // two runs agreed on every record, field for field.
@@ -175,7 +187,7 @@ int main(int argc, char** argv) {
   int jobs = 4;
   int pr_number = 7;
   double fault_rate = 0.002;
-  int timeseries_interval_ms = 25;
+  int timeseries_interval_ms = 10;
   std::string bench_out;
   std::string baseline_path;
   std::string profile_table_out;
@@ -646,9 +658,16 @@ int main(int argc, char** argv) {
           ? std::max(0.0, (capacity_ns - static_cast<double>(task_run.sum)) /
                               capacity_ns)
           : 0.0;
+  // Reported for context only: gated per span below, for the sampler's
+  // reason (the ratio grows whenever the workload gets faster).
   const double profile_overhead =
       ref_cpu_ms > 0.0
           ? std::max(0.0, (profiled_cpu_ms - ref_cpu_ms) / ref_cpu_ms)
+          : 0.0;
+  const double profile_ns_per_span =
+      !profile_spans.empty()
+          ? std::max(0.0, profiled_cpu_ms - ref_cpu_ms) * 1e6 /
+                static_cast<double>(profile_spans.size())
           : 0.0;
   const bool profiled_identical = profiled_dump == pooled_dump;
   const double p_bdc_rate =
@@ -704,9 +723,10 @@ int main(int argc, char** argv) {
   std::printf("  clean pairs identical to baseline: %s (%zu mismatches)\n",
               clean_mismatches == 0 ? "yes" : "NO", clean_mismatches);
   std::printf("Profiled leg (jobs=%d, collector + metrics on): %9.1f ms vs "
-              "%9.1f ms reference (cpu overhead %.1f%%: %.0f vs %.0f ms)\n",
+              "%9.1f ms reference (cpu overhead %.1f%%: %.0f vs %.0f ms, "
+              "%.0f ns per span)\n",
               jobs, profiled_ms, ref_ms, 100.0 * profile_overhead,
-              profiled_cpu_ms, ref_cpu_ms);
+              profiled_cpu_ms, ref_cpu_ms, profile_ns_per_span);
   std::printf("  spans: %zu, events: %zu; critical path: %.1f ms "
               "(%.0f%% of wall)\n",
               profile_spans.size(), profile_events,
@@ -812,6 +832,7 @@ int main(int argc, char** argv) {
   metrics["bench.profiled_cpu_ms"] = profiled_cpu_ms;
   metrics["bench.profile_ref_cpu_ms"] = ref_cpu_ms;
   metrics["bench.profile_overhead"] = profile_overhead;
+  metrics["bench.profile_ns_per_span"] = profile_ns_per_span;
   metrics["bench.profile_spans"] = static_cast<double>(profile_spans.size());
   metrics["bench.profiled_identical"] = profiled_identical ? 1 : 0;
   metrics["bench.critical_path_ns"] =
@@ -932,7 +953,8 @@ int main(int argc, char** argv) {
   const bool pass = identical && sweep_identical && speedup >= 1.7 &&
                     speedup_jobs8_target_met &&
                     bdc_rate > 0.5 && edc_rate > 0.8 &&
-                    fault_ok && profiled_identical && profile_overhead < 0.02 &&
+                    fault_ok && profiled_identical &&
+                    profile_ns_per_span < kMaxProfileNsPerSpan &&
                     sampled_identical && sampler_cpu_ms_per_sample < 5.0 &&
                     timeseries_consistent && tracked_identical &&
                     alloc_tracking_ns_per_alloc < 100.0 &&
@@ -941,9 +963,9 @@ int main(int argc, char** argv) {
       "Acceptance (identical at every sweep job count, 8-job speedup meets "
       "the hardware-scaled target, BDC hit rate > 50%%, EDC hit rate > "
       "80%%, faulted leg attributed + no cache poisoning, profiled leg "
-      "identical with <2%% overhead, sampled leg identical + consistent at "
-      "<5 cpu-ms per sample, memory leg identical at <100 ns per tracked "
-      "allocation): %s\n",
-      pass ? "PASS" : "FAIL");
+      "identical at <%.0f cpu-ns per span, sampled leg identical + "
+      "consistent at <5 cpu-ms per sample, memory leg identical at <100 ns "
+      "per tracked allocation): %s\n",
+      kMaxProfileNsPerSpan, pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }

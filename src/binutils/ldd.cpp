@@ -77,32 +77,38 @@ support::Result<std::string> ldd(const site::Site& host, std::string_view path,
                                  bool verbose, ResolverCache* cache) {
   // Provenance over the transcript itself: content-stamped, so a memoized
   // transcript and a fresh one for identical state record identically.
-  const auto record_ldd = [&](const support::Result<std::string>& r) {
-    if (!obs::provenance_active()) return;
+  const auto ldd_evidence = [&](const support::Result<std::string>& r) {
     const std::string_view text = r.ok() ? r.value() : r.error();
-    obs::record_evidence({"resolver", "ldd", host.name, std::string(path),
-                          r.ok() ? std::to_string(parse_ldd_output(r.value())
-                                                      .size()) +
-                                       " entries"
-                                 : "failed: " + r.error(),
-                          support::fnv1a(text)});
+    return obs::Evidence{
+        "resolver", "ldd", host.name, std::string(path),
+        r.ok() ? std::to_string(parse_ldd_output(r.value()).size()) +
+                     " entries"
+               : "failed: " + r.error(),
+        support::fnv1a(text)};
   };
-  if (cache != nullptr) {
-    if (auto memo = cache->ldd_text(host, path, verbose)) {
-      record_ldd(*memo);
-      return *memo;
-    }
+  if (cache == nullptr) {
+    support::Result<std::string> result = ldd_impl(host, path, verbose, nullptr);
+    if (obs::provenance_active()) obs::record_evidence(ldd_evidence(result));
+    return result;
   }
+  if (const auto* memo = cache->ldd_text(host, path, verbose)) {
+    obs::replay_evidence(memo->evidence);
+    return memo->text();
+  }
+  // The capture frame tees what the fill records — the closure walk's
+  // search items and the transcript's own item — for the entry to keep.
   const std::uint64_t faults_before = host.vfs.fault_count();
+  obs::EvidenceCapture capture;
   support::Result<std::string> result = ldd_impl(host, path, verbose, cache);
+  obs::record_evidence(ldd_evidence(result));
   // A transcript produced under injected faults reflects a view of the
   // site that never really existed; memoizing it would poison later runs
   // (the site generations it is keyed on did not change).
-  const bool faulted = host.vfs.fault_count() != faults_before;
-  if (cache != nullptr && !faulted) {
-    cache->store_ldd(host, path, verbose, result);
+  if (host.vfs.fault_count() == faults_before) {
+    cache->store_ldd(host, path, verbose,
+                     {result.ok(), result.ok() ? result.value() : result.error(),
+                      capture.take()});
   }
-  record_ldd(result);
   return result;
 }
 

@@ -15,22 +15,24 @@ namespace {
 
 // True when the candidate file is a shared object loadable by a binary of
 // the given bitness on this host: valid ELF, correct class, ISA executable
-// on the host hardware.
-bool candidate_compatible(const site::Site& host, const support::Bytes& data,
-                          int bits) {
-  const auto parsed = elf::ElfFile::parse(data);
-  if (!parsed.ok()) return false;
-  const elf::ElfFile& f = parsed.value();
-  if (f.bits() != bits) return false;
-  return elf::isa_executable_on(f.isa(), host.isa);
+// on the host hardware. Parses through the cache's content memo when one
+// is given.
+bool candidate_compatible(const site::Site& host, const support::Blob& data,
+                          int bits, ResolverCache* cache) {
+  std::optional<elf::ElfFile> local;
+  const elf::ElfFile* f = parse_elf(data, cache, local);
+  if (f == nullptr) return false;
+  if (f->bits() != bits) return false;
+  return elf::isa_executable_on(f->isa(), host.isa);
 }
 
 // The loader's search order: extra dirs, rpath, LD_LIBRARY_PATH, then the
 // default dirs for `bits`. A function of the host's environment, which a
-// resolution never changes, so one closure walk builds it once.
-std::vector<std::string> search_order(const site::Site& host, int bits,
-                                      const std::vector<std::string>& rpath,
-                                      const std::vector<std::string>& extra_dirs) {
+// resolution never changes, so one closure walk builds (and hashes) it
+// once.
+SearchOrder search_order(const site::Site& host, int bits,
+                         const std::vector<std::string>& rpath,
+                         const std::vector<std::string>& extra_dirs) {
   std::vector<std::string> dirs;
   dirs.insert(dirs.end(), extra_dirs.begin(), extra_dirs.end());
   dirs.insert(dirs.end(), rpath.begin(), rpath.end());
@@ -38,43 +40,42 @@ std::vector<std::string> search_order(const site::Site& host, int bits,
   dirs.insert(dirs.end(), ld_path.begin(), ld_path.end());
   const auto defaults = host.default_lib_dirs(bits);
   dirs.insert(dirs.end(), defaults.begin(), defaults.end());
-  return dirs;
+  return SearchOrder(std::move(dirs));
 }
 
-// Finds `soname` along `dirs`, honoring skip-on-wrong-class.
+// The provenance item of one search walk: a pure function of (soname,
+// dirs, result), stamped over all three.
+obs::Evidence search_evidence(const site::Site& host, std::string_view soname,
+                              const std::vector<std::string>& dirs,
+                              const std::optional<std::string>& found) {
+  std::uint64_t h = support::fnv1a(soname);
+  for (const auto& dir : dirs) h = support::fnv1a_mix(h, dir);
+  h = support::fnv1a_mix(h, found ? std::string_view(*found) : "\x01");
+  return {"resolver", "search", host.name, std::string(soname),
+          found ? "found " + *found
+                : "absent in " + std::to_string(dirs.size()) + " dirs",
+          h};
+}
+
+// Finds `soname` along `order`, honoring skip-on-wrong-class. A memo hit
+// replays the result and evidence its fill stored.
 std::optional<std::string> search_dirs(const site::Site& host,
                                        std::string_view soname, int bits,
-                                       const std::vector<std::string>& dirs,
+                                       const SearchOrder& order,
                                        ResolverCache* cache) {
-  // Provenance: the walk's evidence is a pure function of (soname, dirs,
-  // result), all of which a memo hit has in hand — recording at every exit
-  // keeps cached and uncached provenance byte-identical without storing
-  // evidence in the cache entry.
-  const auto record_search = [&](const std::optional<std::string>& found) {
-    if (!obs::provenance_active()) return;
-    std::uint64_t h = support::fnv1a(soname);
-    for (const auto& dir : dirs) h = support::fnv1a_mix(h, dir);
-    h = support::fnv1a_mix(h, found ? std::string_view(*found) : "\x01");
-    obs::record_evidence(
-        {"resolver", "search", host.name, std::string(soname),
-         found ? "found " + *found
-               : "absent in " + std::to_string(dirs.size()) + " dirs",
-         h});
-  };
-
   if (cache != nullptr) {
-    if (const auto memo = cache->search(host, soname, bits, dirs)) {
-      record_search(*memo);
-      return *memo;
+    if (const auto* memo = cache->search(host, soname, bits, order)) {
+      if (obs::provenance_active()) obs::record_evidence(memo->evidence);
+      return memo->result;
     }
   }
   const std::uint64_t faults_before = host.vfs.fault_count();
   std::optional<std::string> found;
-  for (const auto& dir : dirs) {
+  for (const auto& dir : order.dirs) {
     const std::string candidate = site::Vfs::join(dir, soname);
-    const support::Bytes* data = host.vfs.read(candidate);
-    if (data == nullptr) continue;
-    if (!candidate_compatible(host, *data, bits)) continue;  // skip, keep looking
+    const auto data = host.vfs.read_blob(candidate);
+    if (!data) continue;
+    if (!candidate_compatible(host, *data, bits, cache)) continue;  // skip, keep looking
     found = host.vfs.resolve(candidate).value_or(candidate);
     break;
   }
@@ -82,9 +83,13 @@ std::optional<std::string> search_dirs(const site::Site& host,
   // memoizing it would poison later (unfaulted) lookups.
   const bool faulted = host.vfs.fault_count() != faults_before;
   if (cache != nullptr && !faulted) {
-    cache->store_search(host, soname, bits, dirs, found);
+    const auto& memo = cache->store_search(
+        host, soname, bits, order,
+        {found, search_evidence(host, soname, order.dirs, found)});
+    if (obs::provenance_active()) obs::record_evidence(memo.evidence);
+  } else if (obs::provenance_active()) {
+    obs::record_evidence(search_evidence(host, soname, order.dirs, found));
   }
-  record_search(found);
   return found;
 }
 
@@ -150,10 +155,9 @@ Resolution resolve_libraries(const site::Site& host, std::string_view binary_pat
   std::vector<std::string> rpath;
   rpath.reserve(root->rpath().size());
   for (const auto& dir : root->rpath()) rpath.emplace_back(dir);
-  const std::vector<std::string> dirs =
-      search_order(host, bits, rpath, extra_search_dirs);
-  out.searched_scratch =
-      std::any_of(dirs.begin(), dirs.end(), site::Vfs::scratch_path);
+  const SearchOrder order = search_order(host, bits, rpath, extra_search_dirs);
+  out.searched_scratch = std::any_of(order.dirs.begin(), order.dirs.end(),
+                                     site::Vfs::scratch_path);
 
   // BFS over NEEDED closure, tracking per-name depth and a parent chain so
   // cycles and runaway depths are *detected* (the dedup set alone would
@@ -213,7 +217,7 @@ Resolution resolve_libraries(const site::Site& host, std::string_view binary_pat
     const Pending item = queue.front();
     queue.pop_front();
     ResolvedLib lib{item.name, std::nullopt, item.requested_by};
-    lib.path = search_dirs(host, item.name, bits, dirs, cache);
+    lib.path = search_dirs(host, item.name, bits, order, cache);
     if (lib.path) {
       provider_paths.emplace(item.name, *lib.path);
       if (const auto data = host.vfs.read_blob(*lib.path)) {

@@ -10,17 +10,22 @@ namespace feam::binutils {
 
 namespace {
 
-std::uint64_t search_fingerprint(const site::Site& host,
-                                 std::string_view soname, int bits,
-                                 const std::vector<std::string>& dirs) {
-  std::uint64_t h = support::fnv1a_mix(support::kFnvBasis, host.lease_id());
-  h = support::fnv1a_mix(h, static_cast<std::uint64_t>(bits));
-  h = support::fnv1a_mix(h, soname);
+std::uint64_t order_hash(const std::vector<std::string>& dirs) {
+  std::uint64_t h = support::kFnvBasis;
   for (const auto& dir : dirs) {
     h = support::fnv1a_mix(h, '\x1f');
     h = support::fnv1a_mix(h, dir);
   }
   return h;
+}
+
+std::uint64_t search_fingerprint(const site::Site& host,
+                                 std::string_view soname, int bits,
+                                 const SearchOrder& order) {
+  std::uint64_t h = support::fnv1a_mix(support::kFnvBasis, host.lease_id());
+  h = support::fnv1a_mix(h, static_cast<std::uint64_t>(bits));
+  h = support::fnv1a_mix(h, soname);
+  return support::fnv1a_mix(h, order.hash);
 }
 
 std::uint64_t ldd_fingerprint(const site::Site& host, std::string_view path,
@@ -72,16 +77,21 @@ std::uint64_t search_entry_bytes(const std::string& soname,
 
 }  // namespace
 
-std::optional<std::optional<std::string>> ResolverCache::search(
+SearchOrder::SearchOrder(std::vector<std::string> search_dirs)
+    : dirs(std::move(search_dirs)), hash(order_hash(dirs)) {}
+
+const ResolverCache::SearchMemo* ResolverCache::search(
     const site::Site& host, std::string_view soname, int bits,
-    const std::vector<std::string>& dirs) {
-  const std::uint64_t key = search_fingerprint(host, soname, bits, dirs);
+    const SearchOrder& order) {
+  const std::uint64_t key = search_fingerprint(host, soname, bits, order);
   const std::uint64_t lease_id = host.lease_id();
   const SearchEntry* entry = search_.find_if(key, [&](const SearchEntry& e) {
-    return e.lease_id == lease_id && e.bits == bits && e.soname == soname &&
-           e.dirs == dirs;
+    return e.lease_id == lease_id && e.bits == bits &&
+           e.order_hash == order.hash && e.soname == soname &&
+           e.dirs == order.dirs;
   });
-  if (entry != nullptr && entry->candidate_versions.size() == dirs.size()) {
+  if (entry != nullptr &&
+      entry->candidate_versions.size() == order.dirs.size()) {
     // Read the system generation *before* walking stamps: if the stamps
     // validate afterwards, they were provably valid at this generation,
     // so recording it as "checked" can never mask a later mutation.
@@ -92,9 +102,9 @@ std::optional<std::optional<std::string>> ResolverCache::search(
             system_generation;
     if (!fresh) {
       fresh = true;
-      for (std::size_t i = 0; i < dirs.size(); ++i) {
+      for (std::size_t i = 0; i < order.dirs.size(); ++i) {
         const auto version =
-            host.vfs.file_version(site::Vfs::join(dirs[i], soname));
+            host.vfs.file_version(site::Vfs::join(order.dirs[i], soname));
         if (version != entry->candidate_versions[i]) {
           fresh = false;
           break;
@@ -107,42 +117,48 @@ std::optional<std::optional<std::string>> ResolverCache::search(
     }
     if (fresh) {
       search_meter_.hit(entry->site_hits);
-      return entry->result;
+      return &entry->memo;
     }
   }
   search_meter_.miss(host.name);
-  return std::nullopt;
+  return nullptr;
 }
 
-void ResolverCache::store_search(const site::Site& host,
-                                 std::string_view soname, int bits,
-                                 const std::vector<std::string>& dirs,
-                                 std::optional<std::string> result) {
+const ResolverCache::SearchMemo& ResolverCache::store_search(
+    const site::Site& host, std::string_view soname, int bits,
+    const SearchOrder& order, SearchMemo memo) {
   const std::uint64_t system_generation = host.vfs.system_generation();
-  SearchEntry entry(host.lease_id(), bits, std::string(soname), dirs,
-                    search_meter_.site_hits(host.name));
-  entry.candidate_versions.reserve(dirs.size());
-  for (const auto& dir : dirs) {
+  SearchEntry entry(host.lease_id(), bits, order, std::string(soname),
+                    std::move(memo), search_meter_.site_hits(host.name));
+  entry.candidate_versions.reserve(order.dirs.size());
+  for (const auto& dir : order.dirs) {
     const std::string candidate = site::Vfs::join(dir, soname);
     entry.candidate_versions.push_back(host.vfs.file_version(candidate));
     if (site::Vfs::scratch_path(candidate)) entry.scratch_candidates = true;
   }
-  entry.result = std::move(result);
   entry.checked_system_generation.store(system_generation,
                                         std::memory_order_relaxed);
   const std::uint64_t entry_bytes =
       sizeof(SearchEntry) +
       search_entry_bytes(entry.soname, entry.dirs,
-                         entry.candidate_versions.size(), entry.result);
+                         entry.candidate_versions.size(), entry.memo.result) +
+      obs::evidence_bytes(entry.memo.evidence);
   // insert() shadows any stale entry for this key; the shadowed node
   // stays retained, so the footprint only grows (honest retained bytes).
-  search_.insert(search_fingerprint(host, soname, bits, dirs),
-                 std::move(entry));
+  const SearchEntry* stored = search_.insert(
+      search_fingerprint(host, soname, bits, order), std::move(entry));
   search_meter_.retain(entry_bytes);
+  return stored->memo;
 }
 
-std::optional<support::Result<std::string>> ResolverCache::ldd_text(
-    const site::Site& host, std::string_view path, bool verbose) {
+support::Result<std::string> ResolverCache::LddMemo::text() const {
+  if (ok) return support::Result<std::string>(payload);
+  return support::Result<std::string>::failure(payload);
+}
+
+const ResolverCache::LddMemo* ResolverCache::ldd_text(const site::Site& host,
+                                                      std::string_view path,
+                                                      bool verbose) {
   const std::uint64_t env_fingerprint = host.env.fingerprint();
   const std::uint64_t key = ldd_fingerprint(host, path, verbose,
                                             env_fingerprint);
@@ -156,30 +172,27 @@ std::optional<support::Result<std::string>> ResolverCache::ldd_text(
            ? entry->vfs_generation == host.vfs.generation()
            : entry->system_generation == host.vfs.system_generation())) {
     ldd_meter_.hit(entry->site_hits);
-    if (entry->ok) return support::Result<std::string>(entry->payload);
-    return support::Result<std::string>::failure(entry->payload);
+    return &entry->memo;
   }
   ldd_meter_.miss(host.name);
-  return std::nullopt;
+  return nullptr;
 }
 
 void ResolverCache::store_ldd(const site::Site& host, std::string_view path,
-                              bool verbose,
-                              const support::Result<std::string>& text) {
-  LddEntry entry{
-      host.lease_id(),
-      verbose,
-      std::string(path),
-      host.env.fingerprint(),
-      host.vfs.file_version(path),
-      host.vfs.system_generation(),
-      host.vfs.generation(),
-      ld_library_path_touches_scratch(host),
-      text.ok(),
-      text.ok() ? text.value() : text.error(),
-      ldd_meter_.site_hits(host.name)};
+                              bool verbose, LddMemo memo) {
+  LddEntry entry{host.lease_id(),
+                 verbose,
+                 std::string(path),
+                 host.env.fingerprint(),
+                 host.vfs.file_version(path),
+                 host.vfs.system_generation(),
+                 host.vfs.generation(),
+                 ld_library_path_touches_scratch(host),
+                 std::move(memo),
+                 ldd_meter_.site_hits(host.name)};
   const std::uint64_t entry_bytes =
-      sizeof(LddEntry) + entry.path.size() + entry.payload.size();
+      sizeof(LddEntry) + entry.path.size() + entry.memo.payload.size() +
+      obs::evidence_bytes(entry.memo.evidence);
   ldd_.insert(ldd_fingerprint(host, path, verbose, entry.env_fingerprint),
               std::move(entry));
   ldd_meter_.retain(entry_bytes);

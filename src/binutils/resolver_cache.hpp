@@ -17,6 +17,7 @@
 //     per-directory walk. Any write, remove, or symlink retarget that
 //     could alter the outcome still misses, and a stamp mismatch can
 //     never produce a wrong path — versions are globally unique per write.
+//     The walk tests candidates through the parse memo below.
 //   * ldd memo — keyed (site, path, verbose, environment fingerprint):
 //     transcripts for distinct shell states coexist. Validated against
 //     the binary's write stamp plus the system half of the VFS; when the
@@ -32,11 +33,14 @@
 //
 // All three memos sit on support::StripedMap: hits are lock-free (a
 // chain walk plus relaxed counter bumps), writers stripe across shards,
-// and published entries never move — parsed_elf's returned pointers stay
-// valid for the cache's lifetime. Each 64-bit map key is a fingerprint
-// of the logical key; every lookup re-verifies the entry's stored
-// identity, so fingerprint collisions degrade to misses, never wrong
-// answers.
+// and published entries never move — the pointers search, ldd_text and
+// parsed_elf return stay valid for the cache's lifetime. Search and ldd
+// entries keep the evidence their fill recorded (built whether or not a
+// provenance scope was active) and a hit replays it, so cached and
+// uncached runs record the same evidence. Each 64-bit map key is a
+// fingerprint of the logical key; every lookup re-verifies the entry's
+// stored identity, so fingerprint collisions degrade to misses, never
+// wrong answers.
 //
 // Passing nullptr wherever a ResolverCache* is accepted reproduces the
 // uncached behaviour exactly.
@@ -52,6 +56,7 @@
 
 #include "elf/file.hpp"
 #include "obs/metrics.hpp"
+#include "obs/provenance.hpp"
 #include "site/site.hpp"
 #include "support/blob.hpp"
 #include "support/result.hpp"
@@ -59,24 +64,47 @@
 
 namespace feam::binutils {
 
+// A loader search order — extra + rpath + LD_LIBRARY_PATH + defaults —
+// with the hash of its directories, taken once per walk: every search
+// along the order keys the memo on `hash` instead of rehashing them.
+struct SearchOrder {
+  explicit SearchOrder(std::vector<std::string> search_dirs);
+  std::vector<std::string> dirs;
+  std::uint64_t hash = 0;
+};
+
 class ResolverCache {
  public:
-  // Memoized search_library result, or nullopt when absent/stale.
-  // `dirs` must be the fully assembled search order (extra + rpath +
-  // LD_LIBRARY_PATH + defaults) — it is part of the key.
-  std::optional<std::optional<std::string>> search(
-      const site::Site& host, std::string_view soname, int bits,
-      const std::vector<std::string>& dirs);
-  void store_search(const site::Site& host, std::string_view soname, int bits,
-                    const std::vector<std::string>& dirs,
-                    std::optional<std::string> result);
+  // A memoized library search: where the walk found the soname (nullopt:
+  // in none of the dirs) and the provenance item the walk recorded, which
+  // every hit replays.
+  struct SearchMemo {
+    std::optional<std::string> result;
+    obs::Evidence evidence;
+  };
+  // The memoized search along `order`, or nullptr when absent/stale. The
+  // pointer stays valid for the cache's lifetime.
+  const SearchMemo* search(const site::Site& host, std::string_view soname,
+                           int bits, const SearchOrder& order);
+  const SearchMemo& store_search(const site::Site& host,
+                                 std::string_view soname, int bits,
+                                 const SearchOrder& order, SearchMemo memo);
 
-  // Memoized ldd text, or nullopt when absent/stale.
-  std::optional<support::Result<std::string>> ldd_text(const site::Site& host,
-                                                       std::string_view path,
-                                                       bool verbose);
+  // A memoized ldd transcript (or its failure message) and the evidence
+  // the fill recorded (its search walks and the transcript's own item),
+  // which every hit replays.
+  struct LddMemo {
+    bool ok = false;
+    std::string payload;  // text when ok, error message otherwise
+    std::vector<obs::Evidence> evidence;
+    support::Result<std::string> text() const;
+  };
+  // The memoized ldd run, or nullptr when absent/stale. The pointer stays
+  // valid for the cache's lifetime.
+  const LddMemo* ldd_text(const site::Site& host, std::string_view path,
+                          bool verbose);
   void store_ldd(const site::Site& host, std::string_view path, bool verbose,
-                 const support::Result<std::string>& text);
+                 LddMemo memo);
 
   // Parsed view of the ELF image `data`, memoized on its content. Returns
   // nullptr when the bytes are not valid ELF. The pointer stays valid for
@@ -106,12 +134,13 @@ class ResolverCache {
     // Identity, re-verified on lookup (the map key is a fingerprint).
     std::uint64_t lease_id = 0;
     int bits = 0;
+    std::uint64_t order_hash = 0;
     std::string soname;
     std::vector<std::string> dirs;
     // file_version of join(dir, soname) per search dir, in order; nullopt
     // where no regular file existed.
     std::vector<std::optional<std::uint64_t>> candidate_versions;
-    std::optional<std::string> result;
+    SearchMemo memo;
     // True when any candidate path sits under a scratch subtree — those
     // entries never take the system-generation fast path (scratch writes
     // don't bump it) and always pay the full stamp walk.
@@ -127,20 +156,23 @@ class ResolverCache {
     SearchEntry(SearchEntry&& other) noexcept
         : lease_id(other.lease_id),
           bits(other.bits),
+          order_hash(other.order_hash),
           soname(std::move(other.soname)),
           dirs(std::move(other.dirs)),
           candidate_versions(std::move(other.candidate_versions)),
-          result(std::move(other.result)),
+          memo(std::move(other.memo)),
           scratch_candidates(other.scratch_candidates),
           checked_system_generation(other.checked_system_generation.load(
               std::memory_order_relaxed)),
           site_hits(other.site_hits) {}
-    SearchEntry(std::uint64_t lease, int b, std::string so,
-                std::vector<std::string> ds, obs::SeriesHandle hits)
+    SearchEntry(std::uint64_t lease, int b, const SearchOrder& order,
+                std::string so, SearchMemo m, obs::SeriesHandle hits)
         : lease_id(lease),
           bits(b),
+          order_hash(order.hash),
           soname(std::move(so)),
-          dirs(std::move(ds)),
+          dirs(order.dirs),
+          memo(std::move(m)),
           site_hits(hits) {}
   };
 
@@ -156,8 +188,7 @@ class ResolverCache {
     std::uint64_t system_generation = 0;
     std::uint64_t vfs_generation = 0;
     bool strict = false;
-    bool ok = false;
-    std::string payload;  // text when ok, error message otherwise
+    LddMemo memo;
     obs::SeriesHandle site_hits;  // cache.hits{cache=resolver.ldd,...}
   };
 

@@ -29,15 +29,14 @@ class ResolverCache;
 namespace feam {
 
 // Content-derived FNV-1a stamp over every description field except `path`
-// (the one request-dependent field). The BDC's provenance evidence carries
-// this stamp: it is computable from a cached description alone, so cache
-// hits replay byte-identical evidence without touching the file bytes.
+// (the one request-dependent field). The BDC's provenance evidence and the
+// bundle's stamp (Bundle::stamp) carry it.
 std::uint64_t description_stamp(const BinaryDescription& d);
 
 // The canonical BDC evidence item for `d` described at (site, path). The
-// component records it on a fresh parse; BdcCache re-synthesizes the exact
-// same item on hits (it is a pure function of the cached description), so
-// cached and uncached provenance are byte-identical.
+// component records it on a fresh parse; BdcCache stores it at fill time
+// and replays it at each hit's site and path, so cached and uncached
+// provenance are byte-identical.
 obs::Evidence description_evidence(std::string_view site_name,
                                    std::string_view path,
                                    const BinaryDescription& d);

@@ -1,5 +1,8 @@
 #include "feam/bundle.hpp"
 
+#include "feam/bdc.hpp"
+#include "support/rng.hpp"
+
 namespace feam {
 
 const LibraryCopy* Bundle::find_library(std::string_view name) const {
@@ -40,6 +43,25 @@ support::Json Bundle::manifest() const {
   j.set("hello_worlds", support::Json(std::move(hellos)));
   j.set("total_bytes", total_bytes());
   return j;
+}
+
+std::uint64_t Bundle::stamp() const {
+  if (stamp_.known.load(std::memory_order_acquire)) {
+    return stamp_.value.load(std::memory_order_relaxed);
+  }
+  std::uint64_t h = support::fnv1a("bundle");
+  for (const auto& lib : libraries) {
+    h = support::fnv1a_mix(h, lib.name);
+    h = support::fnv1a_mix(h, static_cast<std::uint64_t>(lib.content.size()));
+    h = support::fnv1a_mix(h, description_stamp(lib.description));
+  }
+  for (const auto& hw : hello_worlds) {
+    h = support::fnv1a_mix(h, hw.name);
+    h = support::fnv1a_mix(h, static_cast<std::uint64_t>(hw.content.size()));
+  }
+  stamp_.value.store(h, std::memory_order_relaxed);
+  stamp_.known.store(true, std::memory_order_release);
+  return h;
 }
 
 }  // namespace feam

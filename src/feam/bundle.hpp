@@ -6,7 +6,9 @@
 // model and extended compatibility tests.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -48,6 +50,29 @@ class Bundle {
   // Self-describing manifest (descriptions and sizes; contents travel as
   // separate files, as in the original tool's tarball).
   support::Json manifest() const;
+
+  // Content stamp of the bundle's provenance item: the name, size and
+  // description stamp of each library copy and the name and size of each
+  // hello world, not where the bundle was assembled. Computed on the first
+  // call and kept: a bundle is complete before it is evaluated, and a copy
+  // computes its own.
+  std::uint64_t stamp() const;
+
+ private:
+  // stamp()'s kept value. Copying starts the copy unset, so a bundle
+  // assembled from another never inherits a stale stamp.
+  struct StampMemo {
+    StampMemo() = default;
+    StampMemo(const StampMemo&) {}
+    StampMemo& operator=(const StampMemo&) {
+      known.store(false, std::memory_order_relaxed);
+      return *this;
+    }
+    // Set after `value`; racing first calls store the same value.
+    mutable std::atomic<bool> known{false};
+    mutable std::atomic<std::uint64_t> value{0};
+  };
+  StampMemo stamp_;
 };
 
 }  // namespace feam

@@ -70,7 +70,10 @@ support::Result<BinaryDescription> BdcCache::describe(const site::Site& s,
     BinaryDescription d = entry->description;
     d.path = std::string(path);
     if (obs::provenance_active()) {
-      obs::record_evidence(description_evidence(s.name, path, d));
+      obs::Evidence evidence = entry->evidence;
+      evidence.site = s.name;
+      evidence.subject = d.path;
+      obs::record_evidence(std::move(evidence));
     }
     return d;
   }
@@ -83,12 +86,17 @@ support::Result<BinaryDescription> BdcCache::describe(const site::Site& s,
   if (faulted()) return described;
   meter_.miss({});
   if (described.ok()) {
+    // The fill's evidence item, stamped once here; its site and path are
+    // the only parts that depend on where the content was described.
+    obs::Evidence evidence = description_evidence({}, {}, described.value());
     const auto [entry, inserted] = entries_.get_or_insert_if(
-        key, same_content,
-        [&] { return ContentEntry{*blob, described.value()}; });
+        key, same_content, [&] {
+          return ContentEntry{*blob, described.value(), std::move(evidence)};
+        });
     if (inserted) {
       meter_.retain(sizeof(ContentEntry) + blob->size() +
-                    description_bytes(described.value()));
+                    description_bytes(described.value()) +
+                    obs::evidence_bytes(entry->evidence));
     }
   }
   return described;

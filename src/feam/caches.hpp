@@ -74,8 +74,8 @@ class BdcCache {
 
   // Describe the binary at `path` on `s`, memoized on its content. On a
   // hit the cached description is returned with `path` rewritten to the
-  // requested location (the only path-dependent field). Failures are not
-  // cached. Unreadable paths fall through to Bdc::describe for its error
+  // requested location (the only path-dependent field), and the fill's
+  // evidence item is replayed at (s, path). Failures are not cached. Unreadable paths fall through to Bdc::describe for its error
   // message. A hit costs one Blob::hash (cached in the buffer after the
   // first) and, for a buffer other than the entry's own, a byte compare.
   support::Result<BinaryDescription> describe(const site::Site& s,
@@ -88,6 +88,9 @@ class BdcCache {
   struct ContentEntry {
     support::Blob blob;  // the content; compared on lookup
     BinaryDescription description;
+    // The provenance item the fill recorded, with its site and path left
+    // empty: a hit replays it at the hit's own site and path.
+    obs::Evidence evidence;
   };
 
   HashFn hash_;  // empty: Blob::hash

@@ -211,10 +211,10 @@ support::Result<TargetPhaseOutput> run_target_phase(
   obs::counter("phase.target_runs").add();
 
   TargetPhaseOutput out;
-  // Phase-level evidence scope: the BDC describe and EDC discovery below run
-  // before Tec::evaluate installs the prediction's own scope, so their
-  // evidence lands here and is merged into the prediction afterwards (the
-  // EvidenceSet's sort+dedup makes the double coverage harmless).
+  // Phase-level evidence: the BDC describe and EDC discovery below. The
+  // scope closes before Tec::evaluate, which records into the
+  // prediction's own set, and the phase's items are merged into it once
+  // at the end (EvidenceSet's sort+dedup drops the EDC items both saw).
   obs::EvidenceSet phase_evidence;
   {
     obs::ProvenanceScope provenance_scope(phase_evidence);
@@ -234,15 +234,15 @@ support::Result<TargetPhaseOutput> run_target_phase(
 
     out.environment = caches != nullptr ? caches->edc.discover(target)
                                         : Edc::discover(target);
-    TecOptions opts = tec_options;
-    opts.hello_world_ranks = config.hello_world_ranks;
-    if (out.application.mpi_impl) {
-      opts.mpiexec_command = config.mpiexec_for(*out.application.mpi_impl);
-    }
-    out.prediction = Tec::evaluate(target, out.application, binary_path,
-                                   source != nullptr ? &source->bundle : nullptr,
-                                   opts, caches);
   }
+  TecOptions opts = tec_options;
+  opts.hello_world_ranks = config.hello_world_ranks;
+  if (out.application.mpi_impl) {
+    opts.mpiexec_command = config.mpiexec_for(*out.application.mpi_impl);
+  }
+  out.prediction = Tec::evaluate(target, out.application, binary_path,
+                                 source != nullptr ? &source->bundle : nullptr,
+                                 opts, caches);
   out.prediction.provenance.merge(phase_evidence);
   phase_span.add_field("ready", out.prediction.ready ? "true" : "false");
   return out;

@@ -1,10 +1,10 @@
 #include "feam/tec.hpp"
 
 #include <algorithm>
+#include <array>
 #include <set>
 
 #include "binutils/resolver.hpp"
-#include "feam/bdc.hpp"
 #include "feam/caches.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
@@ -446,10 +446,21 @@ namespace {
 // check, one structured event per verdict with the detail fields, and one
 // provenance evidence item stamping what was decided and why.
 void record_verdict(const DeterminantResult& d, std::string_view site_name) {
-  obs::counter("tec.determinant_checks").add();
-  obs::counter("tec.determinant_checks",
-               {.determinant = determinant_name(d.kind)})
-      .add();
+  // Resolved once: the flat total (pinned by the report baseline) and one
+  // labeled series per determinant, indexed by kind.
+  static obs::Counter& checks = obs::counter("tec.determinant_checks");
+  static const std::array<obs::Counter*, 4> checks_by_kind = [] {
+    std::array<obs::Counter*, 4> out{};
+    for (const auto kind :
+         {DeterminantKind::kIsa, DeterminantKind::kCLibrary,
+          DeterminantKind::kMpiStack, DeterminantKind::kSharedLibraries}) {
+      out[static_cast<std::size_t>(kind)] = &obs::counter(
+          "tec.determinant_checks", {.determinant = determinant_name(kind)});
+    }
+    return out;
+  }();
+  checks.add();
+  checks_by_kind[static_cast<std::size_t>(d.kind)]->add();
   const char* state = !d.evaluated ? "skipped"
                       : d.compatible ? "compatible"
                                      : "incompatible";
@@ -484,9 +495,10 @@ Prediction Tec::evaluate(site::Site& target, const BinaryDescription& app,
 
   Prediction p;
   // Everything consulted from here on records into the prediction's own
-  // evidence set; an enclosing scope (run_target_phase installs one over
-  // the whole phase, including the BDC describe) still sees every item —
-  // record_evidence feeds all active frames.
+  // evidence set. run_target_phase closes its scope (the BDC describe and
+  // its EDC discovery) before calling here and merges that set in
+  // afterwards, so each item is added to one set. An enclosing scope
+  // would still see every item: record_evidence feeds all active frames.
   obs::ProvenanceScope provenance_scope(p.provenance);
   binutils::ResolverCache* rc =
       caches != nullptr ? &caches->resolver : nullptr;
@@ -496,21 +508,11 @@ Prediction Tec::evaluate(site::Site& target, const BinaryDescription& app,
   if (bundle != nullptr) {
     // The travelled bundle is evidence too: its identity is the content of
     // its library copies and hello worlds, not where it was assembled.
-    std::uint64_t h = support::fnv1a("bundle");
-    for (const auto& lib : bundle->libraries) {
-      h = support::fnv1a_mix(h, lib.name);
-      h = support::fnv1a_mix(h, static_cast<std::uint64_t>(lib.content.size()));
-      h = support::fnv1a_mix(h, description_stamp(lib.description));
-    }
-    for (const auto& hw : bundle->hello_worlds) {
-      h = support::fnv1a_mix(h, hw.name);
-      h = support::fnv1a_mix(h, static_cast<std::uint64_t>(hw.content.size()));
-    }
     obs::record_evidence(
         {"tec", "bundle", target.name, site::Vfs::basename(app.path),
          std::to_string(bundle->libraries.size()) + " copies, " +
              std::to_string(bundle->hello_worlds.size()) + " hello worlds",
-         h});
+         bundle->stamp()});
   }
 
   // --- Determinant 1: ISA.

@@ -229,12 +229,14 @@ EvidenceCapture::~EvidenceCapture() {
 
 std::vector<Evidence> EvidenceCapture::take() { return std::move(captured_); }
 
+std::uint64_t evidence_bytes(const Evidence& e) {
+  return sizeof(Evidence) + e.stage.size() + e.kind.size() + e.site.size() +
+         e.subject.size() + e.detail.size();
+}
+
 std::uint64_t evidence_bytes(const std::vector<Evidence>& items) {
   std::uint64_t total = 0;
-  for (const auto& e : items) {
-    total += sizeof(Evidence) + e.stage.size() + e.kind.size() +
-             e.site.size() + e.subject.size() + e.detail.size();
-  }
+  for (const auto& e : items) total += evidence_bytes(e);
   return total;
 }
 

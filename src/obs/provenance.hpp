@@ -13,13 +13,13 @@
 // atomics whose values depend on scheduling, and provenance must be
 // byte-identical across job counts and across cached/uncached runs.
 //
-// Cache-replay contract: memo entries either carry the evidence captured
-// at fill time and replay it verbatim on a hit (EdcMemo), or re-derive the
-// identical items from the data a hit already has in hand (BdcCache's
-// stored description stamp, the resolver's search key + memoized result).
-// EvidenceSet normalizes order (full lexicographic sort) and deduplicates
-// exact repeats, so replayed and freshly recorded evidence collapse to the
-// same serialized bytes regardless of arrival order.
+// Cache-replay contract: a memo entry stores the evidence its fill
+// recorded and a hit replays it (a content-keyed entry, BdcCache's,
+// replays its item at the hit's own site and path). Fills store their
+// evidence whether or not a scope is active. EvidenceSet normalizes order
+// (full lexicographic sort) and deduplicates exact repeats, so replayed
+// and freshly recorded evidence collapse to the same serialized bytes
+// regardless of arrival order.
 //
 // Cardinality bounds: at most kMaxItems evidence items serialize per
 // verdict (sorted order wins; the overflow is counted in `dropped`), each
@@ -171,8 +171,9 @@ class EvidenceCapture {
   void* frame_;
 };
 
-// Payload bytes a captured evidence vector retains (for cache footprint
-// gauges).
+// Payload bytes an evidence item or a captured evidence vector retains
+// (for cache footprint gauges).
+std::uint64_t evidence_bytes(const Evidence& e);
 std::uint64_t evidence_bytes(const std::vector<Evidence>& items);
 
 }  // namespace feam::obs

@@ -9,13 +9,30 @@ namespace feam::site {
 namespace {
 constexpr int kMaxSymlinkDepth = 16;
 
-std::vector<std::string> components(std::string_view path) {
-  std::vector<std::string> out;
-  for (auto& part : support::split(path, '/')) {
-    if (!part.empty()) out.push_back(std::move(part));
+// The non-empty '/'-separated components of a path, in order, as views
+// into it: repeated, leading and trailing slashes yield nothing. The
+// walks step through a path with it instead of splitting it into strings.
+class Components {
+ public:
+  explicit Components(std::string_view path) : rest_(path) { skip_slashes(); }
+  bool done() const { return rest_.empty(); }
+  // The next component; call only while !done().
+  std::string_view next() {
+    const auto end = rest_.find('/');
+    const std::string_view part = rest_.substr(0, end);
+    rest_.remove_prefix(part.size());
+    skip_slashes();
+    return part;
   }
-  return out;
-}
+  // The path after the last component next() returned.
+  std::string_view rest() const { return rest_; }
+
+ private:
+  void skip_slashes() {
+    while (!rest_.empty() && rest_.front() == '/') rest_.remove_prefix(1);
+  }
+  std::string_view rest_;
+};
 
 // Strips any trailing '/' so "/opt/" and "/opt" seal the same subtree.
 std::string normalize_prefix(std::string_view prefix) {
@@ -147,24 +164,25 @@ const Vfs::Node* Vfs::walk(std::string_view path, bool follow_terminal,
                            int depth) const {
   if (depth > kMaxSymlinkDepth) return nullptr;
   const Node* node = root_.get();
-  const auto parts = components(path);
-  for (std::size_t i = 0; i < parts.size(); ++i) {
+  Components parts(path);
+  while (!parts.done()) {
     if (node->kind != Node::Kind::kDir) return nullptr;
-    const auto it = node->children.find(parts[i]);
+    const std::string_view part = parts.next();
+    const auto it = node->children.find(part);
     if (it == node->children.end()) return nullptr;
     node = it->second.get();
-    const bool terminal = i + 1 == parts.size();
+    const bool terminal = parts.done();
     if (node->kind == Node::Kind::kSymlink && (!terminal || follow_terminal)) {
-      // Resolve the link target, then continue with the remaining components.
+      // Resolve the link target (relative to the link's directory, the
+      // text before this component), then continue with the remaining
+      // components.
       std::string target = node->target;
       if (!target.empty() && target.front() != '/') {
-        std::string dir = "/";
-        for (std::size_t j = 0; j < i; ++j) dir = join(dir, parts[j]);
-        target = join(dir, target);
+        target = join(path.substr(0, static_cast<std::size_t>(
+                                         part.data() - path.data())),
+                      target);
       }
-      for (std::size_t j = i + 1; j < parts.size(); ++j) {
-        target = join(target, parts[j]);
-      }
+      if (!terminal) target = join(target, parts.rest());
       return walk(target, follow_terminal, depth + 1);
     }
   }
@@ -175,9 +193,9 @@ Vfs::Node* Vfs::walk_mut(std::string_view path) {
   // Mutation never follows symlinks (mirrors rm/ln semantics closely
   // enough for our provisioning code).
   Node* node = root_.get();
-  for (const auto& part : components(path)) {
+  for (Components parts(path); !parts.done();) {
     if (node->kind != Node::Kind::kDir) return nullptr;
-    const auto it = node->children.find(part);
+    const auto it = node->children.find(parts.next());
     if (it == node->children.end()) return nullptr;
     node = it->second.get();
   }
@@ -185,18 +203,19 @@ Vfs::Node* Vfs::walk_mut(std::string_view path) {
 }
 
 Vfs::Node* Vfs::ensure_parent(std::string_view path) {
-  auto parts = components(path);
-  if (parts.empty()) return nullptr;
-  parts.pop_back();
+  Components parts(path);
+  if (parts.done()) return nullptr;
   Node* node = root_.get();
-  for (const auto& part : parts) {
+  // Every component but the last names a directory to find or create.
+  for (std::string_view part = parts.next(); !parts.done();
+       part = parts.next()) {
     if (node->kind != Node::Kind::kDir) return nullptr;
-    auto& child = node->children[part];
-    if (!child) {
-      child = std::make_unique<Node>();
-      child->kind = Node::Kind::kDir;
+    auto it = node->children.find(part);
+    if (it == node->children.end()) {
+      it = node->children.emplace(std::string(part), std::make_unique<Node>())
+               .first;  // a new Node is a directory
     }
-    node = child.get();
+    node = it->second.get();
   }
   return node->kind == Node::Kind::kDir ? node : nullptr;
 }

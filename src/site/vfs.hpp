@@ -162,7 +162,8 @@ class Vfs {
     support::Blob content;                         // kFile
     std::uint64_t version = 0;                     // kFile: write stamp
     std::string target;                            // kSymlink
-    std::map<std::string, std::unique_ptr<Node>> children;  // kDir
+    // kDir; std::less<> lets the walks look up string_view components.
+    std::map<std::string, std::unique_ptr<Node>, std::less<>> children;
   };
 
   // Walks to the node for `path`. If follow_terminal, the final component's

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 namespace feam::site {
 namespace {
 
@@ -151,6 +155,147 @@ TEST(Vfs, Accounting) {
   vfs.symlink("/a/link", "one");  // links own no bytes
   EXPECT_EQ(vfs.total_file_bytes(), 150u);
   EXPECT_EQ(vfs.file_count(), 2u);
+}
+
+// The walks step through a path's components in place; these pin the
+// answers for the path shapes that stress that: empty components,
+// symlinks mid-path and at the end, the depth limit, and dead ends.
+TEST(VfsWalk, RepeatedAndTrailingSlashesCollapse) {
+  Vfs vfs;
+  ASSERT_TRUE(vfs.write_file("//usr///lib//libc.so.6", "c"));
+  EXPECT_TRUE(vfs.is_file("/usr/lib/libc.so.6"));
+  EXPECT_TRUE(vfs.is_file("/usr/lib/libc.so.6/"));
+  EXPECT_TRUE(vfs.is_file("usr/lib/libc.so.6"));
+  EXPECT_TRUE(vfs.is_dir("/usr//lib/"));
+  EXPECT_TRUE(vfs.is_dir("/"));
+  EXPECT_TRUE(vfs.is_dir("//"));
+  EXPECT_TRUE(vfs.is_dir(""));
+  EXPECT_EQ(vfs.list("/usr/"), (std::vector<std::string>{"lib"}));
+  EXPECT_EQ(vfs.file_version("/usr//lib/libc.so.6"),
+            vfs.file_version("/usr/lib/libc.so.6"));
+  ASSERT_TRUE(vfs.mkdirs("/opt//pkg///"));
+  EXPECT_TRUE(vfs.is_dir("/opt/pkg"));
+  EXPECT_TRUE(vfs.remove("/usr//lib/libc.so.6"));
+  EXPECT_FALSE(vfs.exists("/usr/lib/libc.so.6"));
+  EXPECT_FALSE(vfs.write_file("/", "root is not a file"));
+}
+
+TEST(VfsWalk, RelativeSymlinkInAMiddleComponent) {
+  Vfs vfs;
+  vfs.write_file("/opt/pkg-1.4/lib/libx.so", "x");
+  vfs.symlink("/opt/pkg", "pkg-1.4");
+  EXPECT_TRUE(vfs.is_file("/opt/pkg/lib/libx.so"));
+  EXPECT_TRUE(vfs.is_file("//opt//pkg//lib/libx.so"));
+  EXPECT_TRUE(vfs.is_dir("/opt/pkg/lib/"));
+  EXPECT_EQ(vfs.list("/opt/pkg/lib"), (std::vector<std::string>{"libx.so"}));
+  EXPECT_FALSE(vfs.exists("/opt/pkg/lib/liby.so"));
+  // Relative to the link's own directory, not to the root.
+  vfs.mkdirs("/pkg-1.4");
+  vfs.symlink("/srv/pkg", "pkg-1.4");
+  EXPECT_FALSE(vfs.exists("/srv/pkg"));
+  vfs.mkdirs("/srv/pkg-1.4");
+  EXPECT_TRUE(vfs.is_dir("/srv/pkg"));
+  EXPECT_FALSE(vfs.exists("/srv/pkg/lib/libx.so"));
+  // Two links in a row, each relative to where it sits.
+  vfs.symlink("/opt/current", "pkg");
+  EXPECT_TRUE(vfs.is_file("/opt/current/lib/libx.so"));
+}
+
+TEST(VfsWalk, AbsoluteSymlinkInAMiddleComponent) {
+  Vfs vfs;
+  vfs.write_file("/real/lib/liba.so", "a");
+  vfs.symlink("/alias/dir", "/real/lib");
+  EXPECT_TRUE(vfs.is_file("/alias/dir/liba.so"));
+  EXPECT_TRUE(vfs.is_file("/alias//dir///liba.so"));
+  EXPECT_EQ(vfs.resolve("/alias/dir/liba.so"), "/alias/dir/liba.so");
+  // A link to "/" continues from the root.
+  vfs.symlink("/up", "/");
+  EXPECT_TRUE(vfs.is_file("/up/real/lib/liba.so"));
+  EXPECT_TRUE(vfs.is_file("/up/alias/dir/liba.so"));
+}
+
+TEST(VfsWalk, SymlinkInTheLastComponent) {
+  Vfs vfs;
+  vfs.write_file("/lib/libm.so.6.0", "m");
+  vfs.symlink("/lib/libm.so.6", "libm.so.6.0");
+  vfs.symlink("/lib/abs", "/lib/libm.so.6");
+  vfs.symlink("/lib/dirlink", "/lib");
+  for (const char* path : {"/lib/libm.so.6", "/lib/abs", "/lib//abs/"}) {
+    EXPECT_TRUE(vfs.is_file(path)) << path;
+    EXPECT_TRUE(vfs.is_symlink(path)) << path;
+    EXPECT_EQ(vfs.file_version(path), vfs.file_version("/lib/libm.so.6.0"))
+        << path;
+  }
+  EXPECT_EQ(vfs.resolve("/lib/abs"), "/lib/libm.so.6.0");
+  EXPECT_TRUE(vfs.is_dir("/lib/dirlink"));
+  EXPECT_TRUE(vfs.is_symlink("/lib/dirlink/"));
+  EXPECT_TRUE(vfs.is_file("/lib/dirlink/dirlink/abs"));
+  // The empty target is the root itself.
+  vfs.symlink("/empty", "");
+  EXPECT_TRUE(vfs.is_dir("/empty"));
+  EXPECT_TRUE(vfs.is_file("/empty/lib/libm.so.6"));
+}
+
+TEST(VfsWalk, SymlinkDepthLimit) {
+  // /l0 -> /l1 -> ... -> /l<n-1> -> /file: sixteen hops resolve, the
+  // seventeenth is past the limit.
+  const auto chain = [](int links) {
+    auto vfs = std::make_unique<Vfs>();
+    vfs->write_file("/file", "f");
+    for (int i = 0; i < links; ++i) {
+      const std::string next =
+          i + 1 == links ? "file" : "l" + std::to_string(i + 1);
+      vfs->symlink("/l" + std::to_string(i), next);
+    }
+    return vfs;
+  };
+  EXPECT_TRUE(chain(16)->is_file("/l0"));
+  EXPECT_FALSE(chain(17)->exists("/l0"));
+  EXPECT_TRUE(chain(17)->is_symlink("/l0"));  // not followed
+  EXPECT_TRUE(chain(17)->is_file("/l1"));
+  // Mid-path hops count the same way.
+  auto vfs = chain(16);
+  vfs->write_file("/dir/inner", "i");
+  vfs->symlink("/l15", "dir");
+  EXPECT_TRUE(vfs->is_file("/l0/inner"));
+  vfs->symlink("/a", "b");
+  vfs->symlink("/b", "a");
+  EXPECT_FALSE(vfs->exists("/a/inner"));
+}
+
+TEST(VfsWalk, MissingMiddleDirectory) {
+  Vfs vfs;
+  vfs.write_file("/usr/lib/libc.so.6", "c");
+  EXPECT_FALSE(vfs.exists("/usr/lib64/libc.so.6"));
+  EXPECT_EQ(vfs.read("/usr/missing/lib/libc.so.6"), nullptr);
+  EXPECT_FALSE(vfs.file_version("/usr/missing/libc.so.6").has_value());
+  EXPECT_FALSE(vfs.resolve("/nope/libc.so.6").has_value());
+  EXPECT_TRUE(vfs.list("/usr/missing").empty());
+  EXPECT_FALSE(vfs.remove("/usr/missing/libc.so.6"));
+  // Writing creates the missing middle directories.
+  ASSERT_TRUE(vfs.write_file("/usr/missing/lib/libc.so.6", "d"));
+  EXPECT_TRUE(vfs.is_dir("/usr/missing/lib"));
+}
+
+TEST(VfsWalk, FileUsedAsADirectory) {
+  Vfs vfs;
+  vfs.write_file("/lib/libc.so.6", "c");
+  vfs.symlink("/lib/link", "libc.so.6");
+  EXPECT_FALSE(vfs.exists("/lib/libc.so.6/x"));
+  EXPECT_FALSE(vfs.exists("/lib/link/x"));
+  EXPECT_EQ(vfs.read("/lib/libc.so.6/x"), nullptr);
+  EXPECT_TRUE(vfs.list("/lib/libc.so.6").empty());
+  EXPECT_FALSE(vfs.write_file("/lib/libc.so.6/x", "y"));
+  EXPECT_FALSE(vfs.write_file("/lib/libc.so.6/x/y", "z"));
+  EXPECT_FALSE(vfs.mkdirs("/lib/libc.so.6/d"));
+  EXPECT_FALSE(vfs.symlink("/lib/libc.so.6/l", "/lib"));
+  EXPECT_FALSE(vfs.remove("/lib/libc.so.6/x"));
+  // Mutations never follow links: a linked directory is not a parent.
+  vfs.mkdirs("/real");
+  vfs.symlink("/alias", "/real");
+  EXPECT_FALSE(vfs.write_file("/alias/new", "n"));
+  EXPECT_FALSE(vfs.exists("/real/new"));
+  EXPECT_TRUE(vfs.is_file("/lib/libc.so.6"));
 }
 
 }  // namespace
